@@ -40,21 +40,22 @@ class Graph:
         if vertex_count < 0:
             raise ValueError(f"negative vertex count {vertex_count}")
         adj = [[] for _ in range(vertex_count + 1)]
-        seen = set()
         for u, v in edges:
-            if not (1 <= u <= vertex_count) or not (1 <= v <= vertex_count):
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range 1..{vertex_count}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        self.vertex_count = vertex_count
-        self.edge_count = len(seen)
         self._adj = tuple(tuple(sorted(ns)) for ns in adj)
+        # A duplicate edge (u, v) shows as a repeated neighbor in the sorted
+        # list of u; scanning u upward meets it first at u = min(u, v).
+        for u, ns in enumerate(self._adj):
+            if len(set(ns)) != len(ns):
+                v = next(w for w, x in zip(ns, ns[1:]) if w == x)
+                raise ValueError(f"duplicate edge {(u, v)}")
+        self.vertex_count = vertex_count
+        self.edge_count = sum(map(len, self._adj)) // 2
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)

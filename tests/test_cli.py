@@ -1,10 +1,13 @@
 import json
+import random
+import sys
 
-import pytest
-
-from kncomp import tree_engine
-from kncomp.arith import ZeroPivotError
+from conftest import random_permutation, relabel
+from kncomp import qt_engine, tree_engine
+from kncomp.arith import PrimeField, ZeroPivotError, random_prime
 from kncomp.cli import CountResult, bench_once, main
+from kncomp.graph import serialize_edge_list
+from kncomp.oracle import path_graph
 
 PATH3 = "3 2\n1 2\n2 3\n"
 PATH4 = "4 3\n1 2\n2 3\n3 4\n"
@@ -85,29 +88,77 @@ def test_auto_dispatch_records_the_path(tmp_path, capsys):
 
 
 def test_auto_falls_back_to_oracle_on_zero_pivot(tmp_path, capsys, monkeypatch):
-    def explode(dec, n, field=None):
+    # The qt recursion divides by its pivots; the tree count has no pivots.
+    def explode(ct, n, field=None):
         raise ZeroPivotError(2)
 
-    monkeypatch.setattr(tree_engine, "st_function", explode)
-    code, out, _ = run(capsys, ["count", "--n", "4", "--h", write(tmp_path, "p3.el", PATH3)])
+    monkeypatch.setattr(qt_engine, "cent_function", explode)
+    code, out, _ = run(capsys, ["count", "--n", "6", "--h", write(tmp_path, "q.el", NESTED_QT)])
     assert code == 0
     payload = json.loads(out)
-    assert payload["tau"] == "3"
+    assert payload["tau"] == "40"
     assert payload["method_used"] == "kirchhoff"
     assert "zero pivot at label 2" in payload["fallback_reason"]
 
 
 def test_explicit_method_never_falls_back_on_zero_pivot(tmp_path, capsys, monkeypatch):
-    def explode(dec, n, field=None):
+    def explode(ct, n, field=None):
         raise ZeroPivotError(2)
 
-    monkeypatch.setattr(tree_engine, "st_function", explode)
+    monkeypatch.setattr(qt_engine, "cent_function", explode)
     code, _, err = run(
         capsys,
-        ["count", "--n", "4", "--h", write(tmp_path, "p3.el", PATH3), "--method", "tree"],
+        ["count", "--n", "6", "--h", write(tmp_path, "q.el", NESTED_QT), "--method", "qt"],
     )
     assert code == 2
     assert "zero pivot" in err
+
+
+def test_count_prints_tau_beyond_the_int_digit_limit(capsys):
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = digit_limit()
+    code, out, err = run(capsys, ["count", "--n", "1500", "--csplit", "1,1", "--verbose"])
+    assert code == 0
+    assert digit_limit() == before
+    tau = CountResult.from_json(out).tau
+    assert len(json.loads(out)["tau"]) > 4300
+    # n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with |K| = |S| = 1, p = 2
+    assert tau == 1500**1497 * 1498
+    assert err.startswith(f"tau(K_1500 - H) = {json.loads(out)['tau']} via ")
+
+
+def test_large_path_count_matches_the_pivot_product_mod_p(tmp_path, capsys):
+    # k = n = 2000: tau has about 6600 digits, beyond every oracle's reach.
+    # The paper's pivot recursion, run in a random prime field, checks it.
+    n = 2000
+    rng = random.Random(2000)
+    t = relabel(path_graph(n), random_permutation(n, rng))
+    code, out, _ = run(
+        capsys, ["count", "--n", str(n), "--h", write(tmp_path, "p.el", serialize_edge_list(t))]
+    )
+    assert code == 0
+    result = CountResult.from_json(out)
+    assert result.method_used == "tree"
+    field = PrimeField(random_prime(rng=rng))
+    expected = field.ipow(n, n - 2)
+    for value in tree_engine.st_function(tree_engine.st_decompose(t), n, field)[1:]:
+        expected = field.mul(expected, value)
+    assert result.tau % field.modulus == expected
+
+
+def test_consecutive_main_calls_are_independent(tmp_path, capsys):
+    p3 = write(tmp_path, "p3.el", PATH3)
+    code, out, err = run(
+        capsys, ["count", "--n", "4", "--h", p3, "--method", "kirchhoff", "--verbose"]
+    )
+    assert code == 0 and json.loads(out)["method_used"] == "kirchhoff" and "via" in err
+    code, out, err = run(capsys, ["verify", "--n", "5", "--h", p3, "--method", "tree",
+                                  "--against", "enumerate"])
+    assert code == 0 and json.loads(out)["equal"] is True and err == ""
+    code, out, err = run(capsys, ["count", "--n", "5", "--h", p3])
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["method_used"] == "tree" and payload["tau"] == "40"
 
 
 def test_count_csplit_flag(capsys):

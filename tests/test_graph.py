@@ -75,6 +75,10 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(1, 1)])
     with pytest.raises(ValueError, match="duplicate"):
         Graph(2, [(1, 2), (2, 1)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(2, 4\)"):
+        Graph(5, [(4, 2), (1, 5), (3, 4), (2, 4), (1, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, [(1, 3)])
 

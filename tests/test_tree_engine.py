@@ -94,14 +94,38 @@ def test_count_examples():
     assert count_kn_minus_tree(Problem(1, Graph(1))) == 1
 
 
-def test_count_matches_oracle_exhaustively_small():
-    for k in range(1, 6):
+def _paper_pivot_product(t: Graph, n: int) -> int:
+    """tau(K_n - T) = n^(n-2) * L(1) * ... * L(k), in exact rationals."""
+    total = Fraction(n) ** (n - 2)
+    for value in st_function(st_decompose(t), n)[1:]:
+        total *= value
+    assert total.denominator == 1
+    return total.numerator
+
+
+def test_paper_pivot_product_matches_count_and_oracle_exhaustively():
+    checked = 0
+    for k in range(1, 8):
         for t in all_labeled_trees(k):
             for n in (k, k + 1, k + 3):
                 problem = Problem(n, t)
-                assert count_kn_minus_tree(problem) == kirchhoff_count(
-                    complement_in_host(problem)
-                )
+                count = count_kn_minus_tree(problem)
+                assert _paper_pivot_product(t, n) == count
+                assert count == kirchhoff_count(complement_in_host(problem))
+                checked += 1
+    assert checked == 54747
+
+
+@given(st.integers(1, 60), st.integers(0, 4), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_paper_pivot_product_matches_count_on_random_trees(k, slack, seed):
+    # slack 0 and 1 give n = k and n = k + 1, where n^(n-k-2) is a fraction.
+    t = random_labeled_tree(k, seed)
+    n = k + slack
+    problem = Problem(n, t)
+    count = count_kn_minus_tree(problem)
+    assert _paper_pivot_product(t, n) == count
+    assert count == kirchhoff_count(complement_in_host(problem))
 
 
 def test_count_matches_oracle_on_random_k8_trees():
