@@ -10,10 +10,8 @@ from .arith import (
     NonIntegerProductError,
     PrimeField,
     ZeroPivotError,
-    big_pow,
     product_to_integer,
     random_prime,
-    rational,
 )
 from .graph import (
     EdgeListParseError,
@@ -59,8 +57,6 @@ __all__ = [
     "is_connected",
     "complement_in_host",
     "EdgeListParseError",
-    "rational",
-    "big_pow",
     "product_to_integer",
     "random_prime",
     "ExactField",

@@ -18,9 +18,8 @@ from fractions import Fraction
 
 __all__ = [
     "Fraction",
-    "rational",
-    "big_pow",
     "product_to_integer",
+    "tau_from_determinant",
     "NonIntegerProductError",
     "ZeroPivotError",
     "ExactField",
@@ -41,28 +40,13 @@ class NonIntegerProductError(ArithmeticError):
 class ZeroPivotError(ArithmeticError):
     """A value needed in a denominator of an elimination recursion was zero.
 
-    Exact callers fall back to a determinant oracle; modular callers retry
-    with a fresh prime, since a vanishing residue is overwhelmingly a
-    modulus artifact rather than a real zero.
+    Modular callers retry with a fresh prime, since a vanishing residue is
+    overwhelmingly a modulus artifact rather than a real zero.
     """
 
     def __init__(self, label: int):
         super().__init__(f"zero pivot at label {label}")
         self.label = label
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Exact rational num/den in lowest terms with positive denominator."""
-    if den == 0:
-        raise ZeroDivisionError("rational number with zero denominator")
-    return Fraction(num, den)
-
-
-def big_pow(base: int, exp: int) -> int:
-    """base**exp for exp >= 0 (CPython exponentiates by squaring)."""
-    if exp < 0:
-        raise ValueError(f"negative exponent {exp}")
-    return base**exp
 
 
 def product_to_integer(factors, scale: int = 1) -> int:
@@ -78,6 +62,20 @@ def product_to_integer(factors, scale: int = 1) -> int:
     if total.denominator != 1:
         raise NonIntegerProductError(f"product is not an integer: {total}")
     return total.numerator
+
+
+def tau_from_determinant(n: int, p: int, det: int) -> int:
+    """tau(K_n - H) = n^(n-p-2) * det(n*I_p - L(H)), given the determinant.
+
+    A negative power of n must divide det; NonIntegerProductError if not.
+    """
+    exp = n - p - 2
+    if exp >= 0:
+        return n**exp * det
+    tau, rest = divmod(det, n**-exp)
+    if rest:
+        raise NonIntegerProductError(f"det(n*I - L) is not divisible by {n}^{-exp}")
+    return tau
 
 
 # Deterministic Miller-Rabin witness set for n < 2^64.

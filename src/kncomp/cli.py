@@ -15,16 +15,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import oracle, qt_engine, tree_engine
-from .arith import ExactField, ZeroPivotError, mod_retry
+from .arith import ExactField, mod_retry
 from .graph import (
     EdgeListParseError,
     Graph,
     Problem,
     complement_in_host,
     is_connected,
-    is_tree,
     parse_edge_list,
 )
+from .graph import is_tree  # noqa: F401 -- unused; perfbench/test_tracing.py patches it here
 from .qt_engine import NotQuasiThresholdError
 
 DEFAULT_SEED = 20240915
@@ -158,22 +158,18 @@ def _run_oracle(method: str, problem: Problem) -> int:
 
 def _run_explicit(method: str, problem: Problem, csplit_sizes) -> int:
     """Explicit methods never fall back: unmet preconditions are errors."""
-    h = problem.h
     if method == "tree":
-        if not is_tree(h):
-            raise PreconditionError("--method tree: subtrahend is not a tree")
-        return tree_engine.count_kn_minus_tree(problem)
+        try:
+            return tree_engine.count_kn_minus_tree(problem)
+        except tree_engine.NotATreeError:
+            raise PreconditionError("--method tree: subtrahend is not a tree") from None
     if method == "qt":
         try:
             return qt_engine.count_kn_minus_qt(problem)
         except (NotQuasiThresholdError, ValueError) as exc:
             raise PreconditionError(f"--method qt: {exc}") from None
-        except ZeroPivotError as exc:
-            raise PreconditionError(
-                f"--method qt: {exc}; rerun with --method kirchhoff"
-            ) from None
     if method == "csplit":
-        sizes = csplit_sizes or qt_engine.complete_split_sizes(h)
+        sizes = csplit_sizes or qt_engine.complete_split_sizes(problem.h)
         if sizes is None:
             raise PreconditionError(
                 "--method csplit: subtrahend is not a complete split graph"
@@ -185,23 +181,20 @@ def _run_explicit(method: str, problem: Problem, csplit_sizes) -> int:
 def _run_auto(problem: Problem, csplit_sizes) -> tuple[int, str, str | None]:
     """Dispatch order: tree, then complete split, then quasi-threshold, then
     the Kirchhoff oracle. Returns (tau, method_used, fallback_reason)."""
-    h = problem.h
-    if is_tree(h):
+    try:
         return tree_engine.count_kn_minus_tree(problem), "tree", None
-    sizes = csplit_sizes or qt_engine.complete_split_sizes(h)
+    except tree_engine.NotATreeError:
+        pass
+    sizes = csplit_sizes or qt_engine.complete_split_sizes(problem.h)
     if sizes is not None:
         return qt_engine.count_kn_minus_csplit(problem.n, *sizes), "csplit", None
-    if is_connected(h):
+    if not is_connected(problem.h):
+        reason = "subtrahend is disconnected"
+    else:
         try:
             return qt_engine.count_kn_minus_qt(problem), "qt", None
         except NotQuasiThresholdError:
-            pass
-        except ZeroPivotError as exc:
-            tau = oracle.kirchhoff_count(complement_in_host(problem))
-            return tau, "kirchhoff", f"qt engine hit a {exc}"
-        reason = "subtrahend is not quasi-threshold"
-    else:
-        reason = "subtrahend is disconnected"
+            reason = "subtrahend is not quasi-threshold"
     tau = oracle.kirchhoff_count(complement_in_host(problem))
     return tau, "kirchhoff", reason
 

@@ -30,8 +30,9 @@ cannot appear in a denominator; that case raises ZeroPivotError.
 
 from dataclasses import dataclass
 
-from .arith import ExactField, NonIntegerProductError, ZeroPivotError
-from .graph import Graph, Problem, is_tree
+from .arith import ExactField, ZeroPivotError, tau_from_determinant
+from .graph import Graph, Problem
+from .graph import is_tree  # noqa: F401 -- unused; perfbench/test_tracing.py patches it here
 
 __all__ = [
     "NotATreeError",
@@ -74,12 +75,12 @@ def st_decompose(t: Graph) -> StDecomposition:
     Within a level vertices keep ascending original-id order; any fixed
     within-level order yields the same count, this one makes runs
     reproducible. The final level is the tree's center (1 or 2 vertices).
+    Raises NotATreeError unless t is a tree: a graph with k - 1 edges that
+    is not a tree contains a cycle, and no vertex of a cycle is ever peeled.
     """
-    if not is_tree(t):
-        raise NotATreeError(
-            f"graph with {t.vertex_count} vertices and {t.edge_count} edges is not a tree"
-        )
     k = t.vertex_count
+    if k < 1 or t.edge_count != k - 1:
+        raise NotATreeError(f"graph with {k} vertices and {t.edge_count} edges is not a tree")
     deg = [0] * (k + 1)
     for v in t.vertices():
         deg[v] = t.degree(v)
@@ -109,6 +110,8 @@ def st_decompose(t: Graph) -> StDecomposition:
             t_label += 1
             labels[v] = t_label
             order[t_label] = v
+    if t_label != k:
+        raise NotATreeError(f"graph with {k} vertices and {k - 1} edges has a cycle")
 
     ch = [()] * (k + 1)
     for v in t.vertices():
@@ -165,11 +168,4 @@ def count_kn_minus_tree(problem: Problem) -> int:
             cross = cross * d_c + f_c * prod
             prod *= d_c
         subtree[v] = ((n - deg[v]) * prod - cross, prod)
-    det = subtree[order[k]][0]
-    exp = n - k - 2
-    if exp >= 0:
-        return n**exp * det
-    tau, rest = divmod(det, n**-exp)
-    if rest:
-        raise NonIntegerProductError(f"det(n*I - L(T)) is not divisible by {n}^{-exp}")
-    return tau
+    return tau_from_determinant(n, k, subtree[order[k]][0])

@@ -177,16 +177,28 @@ def test_criterion_6_complete_split_closed_form():
             p = size_k + size_s
             g = csplit_graph(size_k, size_s)
             for n in (p, p + 2):
-                closed = count_kn_minus_csplit(n, size_k, size_s)
+                # n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K|; H = K_p when |S| = 0
+                if size_s == 0:
+                    closed = Fraction(n) ** (n - p - 1) * Fraction(n - p) ** (p - 1)
+                else:
+                    closed = (
+                        Fraction(n) ** (n - p - 1)
+                        * Fraction(n - size_k) ** (size_s - 1)
+                        * Fraction(n - p) ** size_k
+                    )
+                csplit = count_kn_minus_csplit(n, size_k, size_s)
                 engine = count_kn_minus_qt(Problem(n, g))
-                if closed != engine:
+                if not closed == csplit == engine:
                     _report(
-                        6, False, f"closed form != engine at K={size_k}, S={size_s}, n={n}"
+                        6,
+                        False,
+                        f"closed form {closed}, csplit {csplit}, qt {engine} "
+                        f"at K={size_k}, S={size_s}, n={n}",
                     )
                 if n == p and size_s >= 1 and closed != 0:
                     _report(6, False, f"expected 0 at n=p={p} with S={size_s}")
                 checked += 1
-    _report(6, True, f"complete split closed form == qt engine on {checked} cases")
+    _report(6, True, f"complete split closed form == csplit == qt engine on {checked} cases")
 
 
 def test_criterion_7_known_special_cases():

@@ -10,56 +10,14 @@ from kncomp.arith import (
     NonIntegerProductError,
     PrimeField,
     ZeroPivotError,
-    big_pow,
     is_prime,
     mod_retry,
     product_to_integer,
     random_prime,
-    rational,
+    tau_from_determinant,
 )
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-
-
-def test_rational_reduces_to_lowest_terms():
-    assert rational(2, 4) == Fraction(1, 2)
-    assert rational(2, 4).denominator == 2
-
-
-def test_rational_zero_is_canonical():
-    q = rational(0, 7)
-    assert q.numerator == 0
-    assert q.denominator == 1
-
-
-def test_rational_normalizes_signs():
-    q = rational(-3, -6)
-    assert q == Fraction(1, 2)
-    assert q.denominator > 0
-
-
-def test_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
-
-
-def test_big_pow_small_cases():
-    assert big_pow(4, 2) == 16
-    assert big_pow(5, 3) == 125
-    assert big_pow(7, 0) == 1
-    assert big_pow(0, 0) == 1
-
-
-def test_big_pow_matches_naive_multiplication():
-    naive = 1
-    for _ in range(64):
-        naive *= 2
-    assert big_pow(2, 64) == naive == 18446744073709551616
-
-
-def test_big_pow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        big_pow(2, -1)
 
 
 def test_product_to_integer_tree_factors():
@@ -80,6 +38,14 @@ def test_product_to_integer_zero_factor():
 def test_product_to_integer_rejects_non_integer():
     with pytest.raises(NonIntegerProductError):
         product_to_integer([Fraction(1, 2)], 3)
+
+
+def test_tau_from_determinant_divides_exactly_or_raises():
+    assert tau_from_determinant(6, 3, 10) == 60  # n^(n-p-2) = 6
+    assert tau_from_determinant(4, 3, 12) == 3  # n^-1: P_3 in K_4
+    assert tau_from_determinant(3, 3, 0) == 0
+    with pytest.raises(NonIntegerProductError):
+        tau_from_determinant(4, 4, 20)
 
 
 @given(st.lists(fractions_st, max_size=8), st.integers(-1000, 1000))

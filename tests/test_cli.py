@@ -3,8 +3,8 @@ import random
 import sys
 
 from conftest import random_permutation, relabel
-from kncomp import qt_engine, tree_engine
-from kncomp.arith import PrimeField, ZeroPivotError, random_prime
+from kncomp import tree_engine
+from kncomp.arith import PrimeField, random_prime
 from kncomp.cli import CountResult, bench_once, main
 from kncomp.graph import serialize_edge_list
 from kncomp.oracle import path_graph
@@ -85,33 +85,6 @@ def test_auto_dispatch_records_the_path(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["method_used"] == "kirchhoff"
     assert "disconnected" in payload["fallback_reason"]
-
-
-def test_auto_falls_back_to_oracle_on_zero_pivot(tmp_path, capsys, monkeypatch):
-    # The qt recursion divides by its pivots; the tree count has no pivots.
-    def explode(ct, n, field=None):
-        raise ZeroPivotError(2)
-
-    monkeypatch.setattr(qt_engine, "cent_function", explode)
-    code, out, _ = run(capsys, ["count", "--n", "6", "--h", write(tmp_path, "q.el", NESTED_QT)])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["tau"] == "40"
-    assert payload["method_used"] == "kirchhoff"
-    assert "zero pivot at label 2" in payload["fallback_reason"]
-
-
-def test_explicit_method_never_falls_back_on_zero_pivot(tmp_path, capsys, monkeypatch):
-    def explode(ct, n, field=None):
-        raise ZeroPivotError(2)
-
-    monkeypatch.setattr(qt_engine, "cent_function", explode)
-    code, _, err = run(
-        capsys,
-        ["count", "--n", "6", "--h", write(tmp_path, "q.el", NESTED_QT), "--method", "qt"],
-    )
-    assert code == 2
-    assert "zero pivot" in err
 
 
 def test_count_prints_tau_beyond_the_int_digit_limit(capsys):

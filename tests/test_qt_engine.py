@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_permutation, relabel
@@ -245,6 +245,51 @@ def test_random_qt_graphs_match_oracle():
             assert count_kn_minus_qt(problem) == kirchhoff_count(
                 complement_in_host(problem)
             )
+
+
+def _paper_phi_product(g: Graph, n: int) -> int:
+    """tau(K_n - Q) = n^(n+k-p-2) * prod(p_i * (n - d_i - 1)^(p_i - 1) * phi_i),
+    in exact rationals."""
+    ct = recognize_and_build_cent_tree(g)
+    phi = cent_function(ct, n).phi
+    total = Fraction(n) ** (n + ct.node_count - ct.vertex_count - 2)
+    for i in range(1, ct.node_count + 1):
+        node = ct.nodes[i]
+        p_i = node.multiplicity
+        total *= p_i * Fraction(n - node.degree - 1) ** (p_i - 1) * phi[ct.labels[i]]
+    assert total.denominator == 1
+    return total.numerator
+
+
+def test_paper_phi_product_matches_count_and_oracle_exhaustively():
+    checked = 0
+    for p in range(1, 7):
+        for g in all_graphs(p):
+            if not is_connected(g):
+                continue
+            try:
+                recognize_and_build_cent_tree(g)
+            except NotQuasiThresholdError:
+                continue
+            for n in (p, p + 1, p + 3):
+                problem = Problem(n, g)
+                count = count_kn_minus_qt(problem)
+                assert _paper_phi_product(g, n) == count
+                assert count == kirchhoff_count(complement_in_host(problem))
+                checked += 1
+    assert checked == 3 * 2022  # connected labeled quasi-threshold graphs, p <= 6
+
+
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_paper_phi_product_matches_count_on_random_layouts(max_nodes, seed, slack):
+    # slack 0 gives n = p, where n^(n-p-1) is a fraction.
+    g = graph_from_cent_layout(*random_cent_layout(max_nodes, 3, random.Random(seed)))
+    assume(g.vertex_count <= 10)
+    problem = Problem(g.vertex_count + slack, g)
+    count = count_kn_minus_qt(problem)
+    assert _paper_phi_product(g, problem.n) == count
+    assert count == kirchhoff_count(complement_in_host(problem))
 
 
 @given(st.integers(1, 10), st.integers(0, 10**6), st.integers(0, 10**6))

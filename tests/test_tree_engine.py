@@ -60,6 +60,7 @@ def test_decompose_single_edge_peels_in_one_level():
         Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),  # cycle
         Graph(4, [(1, 2), (3, 4)]),  # two disjoint edges
         Graph(3, []),  # edgeless
+        Graph(4, [(1, 2), (2, 3), (1, 3)]),  # k - 1 edges: triangle plus isolated vertex
     ],
 )
 def test_decompose_rejects_non_trees(g):
