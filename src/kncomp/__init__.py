@@ -9,8 +9,6 @@ from .arith import (
     ExactField,
     NonIntegerProductError,
     PrimeField,
-    ZeroPivotError,
-    product_to_integer,
     random_prime,
 )
 from .graph import (
@@ -57,12 +55,10 @@ __all__ = [
     "is_connected",
     "complement_in_host",
     "EdgeListParseError",
-    "product_to_integer",
     "random_prime",
     "ExactField",
     "PrimeField",
     "NonIntegerProductError",
-    "ZeroPivotError",
     "StDecomposition",
     "st_decompose",
     "st_function",

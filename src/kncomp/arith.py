@@ -1,32 +1,28 @@
 """Exact and modular arithmetic used by the counting engines.
 
-Every count this package emits is exact. Integers are plain Python ints
-(arbitrary precision), rationals are `fractions.Fraction`, which normalizes
-to lowest terms with a positive denominator on construction. A prime field
-with a random 62-bit modulus provides a fixed-word-cost backend for
-benchmarking, where the digit growth of exact rationals would otherwise
-dominate the measurement.
+Every count this package emits is an exact integer; `tau_from_determinant`
+is the one assembly step, n^(n-p-2) * det with an exact division when the
+exponent is negative.
 
-The engines run their recursions through a small "field" object (ExactField
-or PrimeField) so the same code serves exact counting and modular timing
-runs; the fields also count multiplications and divisions, which backs the
-linear-work checks in the test suite.
+The paper's rational recursions run through a small "field" object so the
+same code serves exact and modular runs: ExactField works in
+`fractions.Fraction`, PrimeField modulo a random 62-bit prime, which keeps
+every operation word-sized for benchmarking. Both count multiplications and
+divisions, which backs the linear-work checks in the test suite. Neither
+checks pivots: a zero denominator raises ZeroDivisionError. Modulo a random
+62-bit prime, a residue vanishes by accident with probability about k/2^62.
 """
 
 import random
 from fractions import Fraction
 
 __all__ = [
-    "Fraction",
-    "product_to_integer",
     "tau_from_determinant",
     "NonIntegerProductError",
-    "ZeroPivotError",
     "ExactField",
     "PrimeField",
     "random_prime",
     "is_prime",
-    "mod_retry",
     "MOD_PRIME_BITS",
 ]
 
@@ -35,33 +31,6 @@ MOD_PRIME_BITS = 62
 
 class NonIntegerProductError(ArithmeticError):
     """A product that a counting formula guarantees to be integral was not."""
-
-
-class ZeroPivotError(ArithmeticError):
-    """A value needed in a denominator of an elimination recursion was zero.
-
-    Modular callers retry with a fresh prime, since a vanishing residue is
-    overwhelmingly a modulus artifact rather than a real zero.
-    """
-
-    def __init__(self, label: int):
-        super().__init__(f"zero pivot at label {label}")
-        self.label = label
-
-
-def product_to_integer(factors, scale: int = 1) -> int:
-    """Multiply `scale` by every factor and return the exact integer result.
-
-    Raises NonIntegerProductError when the product has a nontrivial
-    denominator: every spanning-tree formula in this package is integral,
-    so a non-integer product signals an engine bug upstream.
-    """
-    total = Fraction(scale)
-    for f in factors:
-        total *= f
-    if total.denominator != 1:
-        raise NonIntegerProductError(f"product is not an integer: {total}")
-    return total.numerator
 
 
 def tau_from_determinant(n: int, p: int, det: int) -> int:
@@ -134,9 +103,6 @@ class ExactField:
     def from_int(self, i: int) -> Fraction:
         return Fraction(i)
 
-    def is_zero(self, x) -> bool:
-        return x == 0
-
     def add(self, a, b):
         return a + b
 
@@ -180,15 +146,6 @@ class PrimeField:
     def from_int(self, i: int) -> int:
         return i % self.modulus
 
-    def from_fraction(self, q: Fraction) -> int:
-        den = q.denominator % self.modulus
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {q} vanishes mod {self.modulus}")
-        return q.numerator * pow(den, -1, self.modulus) % self.modulus
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
     def add(self, a, b):
         return (a + b) % self.modulus
 
@@ -210,19 +167,3 @@ class PrimeField:
         if exp < 0:
             return pow(pow(b, -1, self.modulus), -exp, self.modulus)
         return pow(b, exp, self.modulus)
-
-
-def mod_retry(task, rng: random.Random, attempts: int = 5):
-    """Run `task(field)` under fresh random prime fields until one succeeds.
-
-    Retries on zero pivots / zero residues; after `attempts` distinct
-    moduli all hit a zero, gives up (at that point the zeros are almost
-    certainly genuine).
-    """
-    for _ in range(attempts):
-        field = PrimeField(random_prime(rng=rng))
-        try:
-            return task(field)
-        except (ZeroPivotError, ZeroDivisionError):
-            continue
-    raise ArithmeticError(f"zero residue under {attempts} distinct random moduli")

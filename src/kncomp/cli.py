@@ -15,15 +15,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import oracle, qt_engine, tree_engine
-from .arith import ExactField, mod_retry
-from .graph import (
-    EdgeListParseError,
-    Graph,
-    Problem,
-    complement_in_host,
-    is_connected,
-    parse_edge_list,
-)
+from .arith import ExactField, PrimeField, random_prime
+from .graph import EdgeListParseError, Graph, Problem, complement_in_host, parse_edge_list
 from .graph import is_tree  # noqa: F401 -- unused; perfbench/test_tracing.py patches it here
 from .qt_engine import NotQuasiThresholdError
 
@@ -84,20 +77,6 @@ class CountResult:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "CountResult":
-        d = json.loads(text)
-        with _no_int_digit_limit():
-            tau = int(d["tau"])
-        return cls(
-            tau=tau,
-            method_used=d["method_used"],
-            fallback_reason=d["fallback_reason"],
-            elapsed_ms=float(d["elapsed_ms"]),
-            n=d["n"],
-            k_or_p=d["k_or_p"],
-        )
-
 
 def _seed() -> int:
     raw = os.environ.get("KNCOMP_SEED")
@@ -109,8 +88,8 @@ def _seed() -> int:
         raise CliError(f"KNCOMP_SEED must be an integer, got {raw!r}") from None
 
 
-def _load_problem(args) -> tuple[Problem, tuple | None]:
-    """Build the Problem from --h or --csplit; returns (problem, csplit sizes)."""
+def _load_problem(args) -> Problem:
+    """Build the Problem from --h or --csplit."""
     if args.h is not None:
         try:
             with open(args.h, encoding="utf-8") as fh:
@@ -121,7 +100,6 @@ def _load_problem(args) -> tuple[Problem, tuple | None]:
             h = parse_edge_list(text)
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
-        sizes = None
     else:
         parts = args.csplit.split(",")
         if len(parts) != 2:
@@ -133,12 +111,10 @@ def _load_problem(args) -> tuple[Problem, tuple | None]:
         if size_k < 1 or size_s < 0:
             raise CliError("--csplit needs K >= 1 and S >= 0")
         h = oracle.csplit_graph(size_k, size_s)
-        sizes = (size_k, size_s)
     try:
-        problem = Problem(args.n, h)
+        return Problem(args.n, h)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return problem, sizes
 
 
 def _run_oracle(method: str, problem: Problem) -> int:
@@ -156,57 +132,48 @@ def _run_oracle(method: str, problem: Problem) -> int:
     raise CliError(f"unknown method {method!r}")
 
 
-def _run_explicit(method: str, problem: Problem, csplit_sizes) -> int:
-    """Explicit methods never fall back: unmet preconditions are errors."""
-    if method == "tree":
+def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
+    """Count with `method`; returns (tau, method_used, fallback_reason).
+
+    `auto` tries tree, then complete split, then quasi-threshold, and falls
+    back to the Kirchhoff oracle with the reason recorded. An explicit
+    method never falls back: an unmet precondition is a PreconditionError.
+    """
+    if method in ORACLE_METHODS:
+        return _run_oracle(method, problem), method, None
+    auto = method == "auto"
+    if auto or method == "tree":
         try:
-            return tree_engine.count_kn_minus_tree(problem)
+            return tree_engine.count_kn_minus_tree(problem), "tree", None
         except tree_engine.NotATreeError:
-            raise PreconditionError("--method tree: subtrahend is not a tree") from None
-    if method == "qt":
-        try:
-            return qt_engine.count_kn_minus_qt(problem)
-        except (NotQuasiThresholdError, ValueError) as exc:
-            raise PreconditionError(f"--method qt: {exc}") from None
-    if method == "csplit":
-        sizes = csplit_sizes or qt_engine.complete_split_sizes(problem.h)
-        if sizes is None:
+            if not auto:
+                raise PreconditionError("--method tree: subtrahend is not a tree") from None
+    if auto or method == "csplit":
+        sizes = qt_engine.complete_split_sizes(problem.h)
+        if sizes is not None:
+            return qt_engine.count_kn_minus_csplit(problem.n, *sizes), "csplit", None
+        if not auto:
             raise PreconditionError(
                 "--method csplit: subtrahend is not a complete split graph"
             )
-        return qt_engine.count_kn_minus_csplit(problem.n, *sizes)
-    return _run_oracle(method, problem)
-
-
-def _run_auto(problem: Problem, csplit_sizes) -> tuple[int, str, str | None]:
-    """Dispatch order: tree, then complete split, then quasi-threshold, then
-    the Kirchhoff oracle. Returns (tau, method_used, fallback_reason)."""
+    # method is auto or qt
     try:
-        return tree_engine.count_kn_minus_tree(problem), "tree", None
-    except tree_engine.NotATreeError:
-        pass
-    sizes = csplit_sizes or qt_engine.complete_split_sizes(problem.h)
-    if sizes is not None:
-        return qt_engine.count_kn_minus_csplit(problem.n, *sizes), "csplit", None
-    if not is_connected(problem.h):
-        reason = "subtrahend is disconnected"
-    else:
-        try:
-            return qt_engine.count_kn_minus_qt(problem), "qt", None
-        except NotQuasiThresholdError:
+        return qt_engine.count_kn_minus_qt(problem), "qt", None
+    except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
+        if not auto:
+            raise PreconditionError(f"--method qt: {exc}") from None
+        if isinstance(exc, NotQuasiThresholdError):
             reason = "subtrahend is not quasi-threshold"
+        else:
+            reason = "subtrahend is disconnected"
     tau = oracle.kirchhoff_count(complement_in_host(problem))
     return tau, "kirchhoff", reason
 
 
 def cmd_count(args) -> int:
-    problem, csplit_sizes = _load_problem(args)
+    problem = _load_problem(args)
     start = time.perf_counter()
-    if args.method == "auto":
-        tau, used, reason = _run_auto(problem, csplit_sizes)
-    else:
-        tau = _run_explicit(args.method, problem, csplit_sizes)
-        used, reason = args.method, None
+    tau, used, reason = _run(args.method, problem)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = CountResult(
         tau=tau,
@@ -229,12 +196,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem, csplit_sizes = _load_problem(args)
-    if args.method == "auto":
-        engine_tau, used, _ = _run_auto(problem, csplit_sizes)
-    else:
-        engine_tau = _run_explicit(args.method, problem, csplit_sizes)
-        used = args.method
+    problem = _load_problem(args)
+    engine_tau, used, _ = _run(args.method, problem)
     if args.debug_force_wrong:
         engine_tau += 1
     oracle_tau = _run_oracle(args.against, problem)
@@ -292,23 +255,19 @@ def _qt_tau_in_field(h: Graph, n: int, field):
 def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, int]:
     """Time one engine run (decomposition + recursion + product) and report
     (milliseconds, field multiply/divide operations). The instance build is
-    excluded from the timing."""
+    excluded from the timing.
+
+    With mod_p the run is in one prime field, whose 62-bit modulus is drawn
+    from seed ^ size; otherwise it is in exact rationals. A pivot that
+    vanishes raises ZeroDivisionError.
+    """
     h = _bench_instance(family, size, seed)
     n = h.vertex_count
     runner = _qt_tau_in_field if family == "random-qt" else _tree_tau_in_field
     if mod_p:
-        rng = random.Random(seed ^ size)
-        holder = {}
-
-        def task(field):
-            start = time.perf_counter()
-            runner(h, n, field)
-            holder["ms"] = (time.perf_counter() - start) * 1000.0
-            holder["ops"] = field.ops
-
-        mod_retry(task, rng)
-        return holder["ms"], holder["ops"]
-    field = ExactField()
+        field = PrimeField(random_prime(rng=random.Random(seed ^ size)))
+    else:
+        field = ExactField()
     start = time.perf_counter()
     runner(h, n, field)
     return (time.perf_counter() - start) * 1000.0, field.ops
@@ -324,7 +283,10 @@ def cmd_bench(args) -> int:
     seed = _seed()
     print("size,millis,ops")
     for size in sizes:
-        millis, ops = bench_once(args.family, size, seed, args.mod_p)
+        try:
+            millis, ops = bench_once(args.family, size, seed, args.mod_p)
+        except ZeroDivisionError as exc:
+            raise CliError(f"{args.family} size {size}: a pivot vanished ({exc})") from None
         print(f"{size},{millis:.3f},{ops}")
     return 0
 

@@ -8,9 +8,10 @@ enumerator provides a third, arithmetic-free answer.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
-from .arith import Fraction, product_to_integer
+from .arith import NonIntegerProductError
 from .graph import Graph, Problem
 
 __all__ = [
@@ -143,11 +144,16 @@ def cst_matrix(problem: Problem):
 
 def cst_matrix_count(problem: Problem) -> int:
     """Second oracle: n^(n-2) times the determinant of the complement
-    adjacency system, evaluated in exact rational arithmetic."""
-    det = rational_determinant(cst_matrix(problem))
+    adjacency system, evaluated in exact rational arithmetic.
+
+    Raises NonIntegerProductError when the scaled determinant is not an
+    integer, which would signal a bug in the matrix or the elimination.
+    """
     n = problem.n
-    scale = n ** (n - 2) if n >= 2 else 1
-    return product_to_integer([det], scale)
+    total = rational_determinant(cst_matrix(problem)) * (n ** (n - 2) if n >= 2 else 1)
+    if total.denominator != 1:
+        raise NonIntegerProductError(f"n^(n-2) * det is not an integer: {total}")
+    return total.numerator
 
 
 ENUMERATION_LIMIT = 8

@@ -50,9 +50,8 @@ and the count assembles as
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 
-from .arith import ExactField, ZeroPivotError, tau_from_determinant
+from .arith import ExactField, tau_from_determinant
 from .graph import Graph, Problem, is_connected
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "count_kn_minus_qt",
     "count_kn_minus_csplit",
     "complete_split_sizes",
-    "cent_tree_to_graph",
-    "validate_cent_tree",
 ]
 
 
@@ -122,16 +119,13 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
 
     q must be connected; for disconnected subtrahends use the determinant
     oracles component-free instead. Raises NotQuasiThresholdError with a
-    witness piece when the peeling stalls.
+    witness piece when the peeling stalls, and ValueError when q is
+    disconnected. Connectivity is checked only when the whole graph has no
+    universal vertex, which every disconnected graph with p >= 2 lacks.
     """
     p = q.vertex_count
     if p < 1:
         raise ValueError("graph must have at least one vertex")
-    if not is_connected(q):
-        raise ValueError(
-            "graph is disconnected; this decomposition needs a connected input "
-            "(count disconnected subtrahends with a determinant oracle)"
-        )
 
     # Degree of each vertex inside its current piece. Removing a universal
     # set C from a piece lowers every survivor's inner degree by |C|.
@@ -148,6 +142,11 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
         size = len(piece)
         cent = tuple(v for v in piece if inner_deg[v] == size - 1)
         if not cent:
+            if not parent and not is_connected(q):
+                raise ValueError(
+                    "graph is disconnected; this decomposition needs a connected input "
+                    "(count disconnected subtrahends with a determinant oracle)"
+                )
             raise NotQuasiThresholdError(piece)
         members_by_node.append(cent)
         parents.append(parent)
@@ -264,8 +263,8 @@ class CentFunctionValues:
 def cent_function(ct: CentTree, n: int, field=None) -> CentFunctionValues:
     """Evaluate sigma, a', b', phi in ascending node-label order.
 
-    Raises ZeroPivotError carrying the child label when some phi_j = 0 is
-    hit in a denominator; raises ValueError when n < p.
+    Raises ZeroDivisionError when some phi_j = 0 is hit in a denominator,
+    and ValueError when n < p.
     """
     if n < ct.vertex_count:
         raise ValueError(f"host size {n} smaller than graph size {ct.vertex_count}")
@@ -301,8 +300,6 @@ def cent_function(ct: CentTree, n: int, field=None) -> CentFunctionValues:
         ph = aa
         for c in node.children:
             tc = ct.labels[c]
-            if f.is_zero(phi[tc]):
-                raise ZeroPivotError(tc)
             bj = b_adj[tc]
             ph = f.sub(ph, f.div(f.mul(bj, bj), phi[tc]))
         phi[t] = ph
@@ -375,43 +372,3 @@ def complete_split_sizes(g: Graph):
         if g.degree(v) != p - 1 and g.degree(v) != size_k:
             return None
     return size_k, p - size_k
-
-
-def cent_tree_to_graph(ct: CentTree) -> Graph:
-    """Rebuild the unique graph whose decomposition is `ct`."""
-    edges = []
-    for i in range(1, ct.node_count + 1):
-        mem = ct.nodes[i].members
-        edges.extend(combinations(mem, 2))
-        j = ct.nodes[i].parent
-        while j:
-            for x in ct.nodes[j].members:
-                for y in mem:
-                    edges.append((x, y))
-            j = ct.nodes[j].parent
-    return Graph(ct.vertex_count, edges)
-
-
-def validate_cent_tree(ct: CentTree, q: Graph):
-    """Assert the full set of structural invariants against the source graph."""
-    all_members = [v for i in range(1, ct.node_count + 1) for v in ct.nodes[i].members]
-    assert sorted(all_members) == list(q.vertices()), "members must partition V(Q)"
-
-    root = ct.nodes[1]
-    assert root.parent == 0
-    assert all(q.degree(v) == q.vertex_count - 1 for v in root.members), (
-        "root must consist of the universal vertices"
-    )
-    for i in range(1, ct.node_count + 1):
-        node = ct.nodes[i]
-        assert not node.children or len(node.children) >= 2
-        closed = [frozenset(q.neighbors(v)) | {v} for v in node.members]
-        assert all(c == closed[0] for c in closed), (
-            f"members of node {i} have differing closed neighborhoods"
-        )
-    assert ct.labels[1] == ct.node_count, "root must carry the last label"
-    for i in range(2, ct.node_count + 1):
-        assert ct.labels[i] < ct.labels[ct.nodes[i].parent], (
-            "children must precede their parent in label order"
-        )
-    assert cent_tree_to_graph(ct) == q, "reconstruction must reproduce the input"

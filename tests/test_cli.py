@@ -3,7 +3,7 @@ import random
 import sys
 
 from conftest import random_permutation, relabel
-from kncomp import tree_engine
+from kncomp import cli, tree_engine
 from kncomp.arith import PrimeField, random_prime
 from kncomp.cli import CountResult, bench_once, main
 from kncomp.graph import serialize_edge_list
@@ -28,6 +28,11 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_tau(out: str) -> int:
+    with cli._no_int_digit_limit():
+        return int(json.loads(out)["tau"])
 
 
 def test_count_path3_auto(tmp_path, capsys):
@@ -93,7 +98,7 @@ def test_count_prints_tau_beyond_the_int_digit_limit(capsys):
     code, out, err = run(capsys, ["count", "--n", "1500", "--csplit", "1,1", "--verbose"])
     assert code == 0
     assert digit_limit() == before
-    tau = CountResult.from_json(out).tau
+    tau = read_tau(out)
     assert len(json.loads(out)["tau"]) > 4300
     # n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with |K| = |S| = 1, p = 2
     assert tau == 1500**1497 * 1498
@@ -110,13 +115,12 @@ def test_large_path_count_matches_the_pivot_product_mod_p(tmp_path, capsys):
         capsys, ["count", "--n", str(n), "--h", write(tmp_path, "p.el", serialize_edge_list(t))]
     )
     assert code == 0
-    result = CountResult.from_json(out)
-    assert result.method_used == "tree"
+    assert json.loads(out)["method_used"] == "tree"
     field = PrimeField(random_prime(rng=rng))
     expected = field.ipow(n, n - 2)
     for value in tree_engine.st_function(tree_engine.st_decompose(t), n, field)[1:]:
         expected = field.mul(expected, value)
-    assert result.tau % field.modulus == expected
+    assert read_tau(out) % field.modulus == expected
 
 
 def test_consecutive_main_calls_are_independent(tmp_path, capsys):
@@ -236,6 +240,14 @@ def test_bench_mod_p_and_seed_env(capsys, monkeypatch):
     assert ops1 == ops2
 
 
+def test_bench_exits_1_when_a_pivot_vanishes(capsys, monkeypatch):
+    # Mod 3 the path on 3 vertices has n = 3, so b = 1/n divides by zero.
+    monkeypatch.setattr(cli, "random_prime", lambda rng: 3)
+    code, _, err = run(capsys, ["bench", "--family", "path", "--sizes", "3", "--mod-p"])
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bench_rejects_bad_sizes(capsys):
     code, _, err = run(capsys, ["bench", "--family", "path", "--sizes", "0"])
     assert code == 1
@@ -259,4 +271,7 @@ def test_count_result_json_round_trip():
     assert list(json.loads(text)) == [
         "tau", "method_used", "fallback_reason", "elapsed_ms", "n", "k_or_p",
     ]
-    assert CountResult.from_json(text).to_json() == text
+    assert json.loads(text) == {
+        "tau": "3", "method_used": "tree", "fallback_reason": None,
+        "elapsed_ms": 1.25, "n": 4, "k_or_p": 3,
+    }

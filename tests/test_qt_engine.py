@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_permutation, relabel
+from conftest import check_node_tree, random_permutation, relabel
 from kncomp.graph import Graph, Problem, complement_in_host, is_connected
 from kncomp.oracle import (
     all_graphs,
@@ -24,12 +24,10 @@ from kncomp.oracle import (
 from kncomp.qt_engine import (
     NotQuasiThresholdError,
     cent_function,
-    cent_tree_to_graph,
     complete_split_sizes,
     count_kn_minus_csplit,
     count_kn_minus_qt,
     recognize_and_build_cent_tree,
-    validate_cent_tree,
 )
 
 STAR12 = Graph(3, [(1, 2), (1, 3)])  # center 1, two leaves
@@ -82,7 +80,7 @@ def test_disconnected_input_is_rejected():
 def test_figure_like_graph_decomposition():
     g = figure_like_graph()
     ct = recognize_and_build_cent_tree(g)
-    validate_cent_tree(ct, g)
+    check_node_tree(ct, g)
     assert ct.node_count == 10
     mults = [ct.nodes[i].multiplicity for i in range(1, 11)]
     assert mults == [1, 1, 2, 1, 1, 1, 1, 1, 1, 2]
@@ -202,7 +200,7 @@ def test_recognition_matches_brute_force_exhaustively():
                 recognized = False
             assert recognized == (not forbidden), g.edges()
             if recognized:
-                validate_cent_tree(ct, g)
+                check_node_tree(ct, g)
 
 
 def test_recognition_matches_brute_force_sampled_7():
@@ -227,8 +225,7 @@ def test_recognition_matches_brute_force_sampled_7():
 def test_reconstruction_reproduces_the_input(max_nodes, seed):
     g = random_qt_graph(max_nodes, 3, seed)
     ct = recognize_and_build_cent_tree(g)
-    validate_cent_tree(ct, g)
-    assert cent_tree_to_graph(ct) == g
+    check_node_tree(ct, g)
 
 
 def test_random_qt_graphs_match_oracle():
