@@ -94,7 +94,7 @@ def _load_problem(args) -> Problem:
         try:
             with open(args.h, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {args.h}: {exc}") from None
         try:
             h = parse_edge_list(text)
@@ -135,8 +135,10 @@ def _run_oracle(method: str, problem: Problem) -> int:
 def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
     """Count with `method`; returns (tau, method_used, fallback_reason).
 
-    `auto` tries tree, then complete split, then quasi-threshold, and falls
-    back to the Kirchhoff oracle with the reason recorded. An explicit
+    `auto` tries tree, then builds the quasi-threshold node tree once and
+    labels the count `csplit` when that tree has the complete split shape,
+    `qt` otherwise; it falls back to the Kirchhoff oracle, with the reason
+    recorded, when H is not quasi-threshold or is disconnected. An explicit
     method never falls back: an unmet precondition is a PreconditionError.
     """
     if method in ORACLE_METHODS:
@@ -148,26 +150,24 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
         except tree_engine.NotATreeError:
             if not auto:
                 raise PreconditionError("--method tree: subtrahend is not a tree") from None
-    if auto or method == "csplit":
-        sizes = qt_engine.complete_split_sizes(problem.h)
-        if sizes is not None:
-            return qt_engine.count_kn_minus_csplit(problem.n, *sizes), "csplit", None
-        if not auto:
-            raise PreconditionError(
-                "--method csplit: subtrahend is not a complete split graph"
-            )
-    # method is auto or qt
+    # method is auto, qt or csplit
+    not_csplit = "--method csplit: subtrahend is not a complete split graph"
     try:
-        return qt_engine.count_kn_minus_qt(problem), "qt", None
+        ct = qt_engine.recognize_and_build_cent_tree(problem.h)
     except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
-        if not auto:
+        if method == "csplit":
+            raise PreconditionError(not_csplit) from None
+        if method == "qt":
             raise PreconditionError(f"--method qt: {exc}") from None
         if isinstance(exc, NotQuasiThresholdError):
             reason = "subtrahend is not quasi-threshold"
         else:
             reason = "subtrahend is disconnected"
-    tau = oracle.kirchhoff_count(complement_in_host(problem))
-    return tau, "kirchhoff", reason
+        return oracle.kirchhoff_count(complement_in_host(problem)), "kirchhoff", reason
+    used = "csplit" if method != "qt" and ct.is_complete_split else "qt"
+    if method == "csplit" and used != "csplit":
+        raise PreconditionError(not_csplit)
+    return qt_engine.count_cent_tree(ct, problem.n), used, None
 
 
 def cmd_count(args) -> int:

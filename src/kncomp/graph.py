@@ -19,6 +19,9 @@ __all__ = [
 ]
 
 
+MAX_VERTEX_COUNT = 10**7
+
+
 class EdgeListParseError(ValueError):
     """Malformed edge-list text; `line_no` is 1-based."""
 
@@ -89,9 +92,9 @@ def parse_edge_list(text: str) -> Graph:
     """Parse "k m" header plus m "u v" lines into a validated Graph.
 
     Every malformed input raises EdgeListParseError carrying the offending
-    line number: bad header, k < 1, non-integer tokens, loops, duplicate
-    edges, out-of-range endpoints, or an edge count that contradicts the
-    header. Blank lines are ignored.
+    line number: bad header, k < 1 or k > MAX_VERTEX_COUNT, non-integer
+    tokens, loops, duplicate edges, out-of-range endpoints, or an edge count
+    that contradicts the header. Blank lines are ignored.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -105,6 +108,12 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(1, f"non-integer header fields {lines[0]!r}") from None
     if k < 1:
         raise EdgeListParseError(1, f"vertex count must be at least 1, got {k}")
+    if k > MAX_VERTEX_COUNT:
+        # Checked before Graph allocates k adjacency lists. A count with
+        # n >= k this large would have over 7 * 10^7 digits.
+        raise EdgeListParseError(
+            1, f"vertex count {k} exceeds the limit of {MAX_VERTEX_COUNT}"
+        )
     if m < 0:
         raise EdgeListParseError(1, f"negative edge count {m}")
 

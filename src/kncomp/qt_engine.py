@@ -19,10 +19,12 @@ pivots,
 
     tau(K_n - Q) = n^(n-p-1) * prod((n - mu)^mult over the nonzero spectrum).
 
-`count_kn_minus_csplit` evaluates the same product on the trivial node tree
-of a complete split graph (a root of |K| clique vertices, |S| singleton
-leaves), which reproduces the closed form
-tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|.
+A complete split graph (clique K joined to an independent set S) is the
+quasi-threshold graph whose node tree is trivial: a root holding K and one
+single-vertex leaf per vertex of S (`CentTree.is_complete_split`). Its
+spectrum reproduces the closed form
+tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|, which
+`count_kn_minus_csplit` evaluates from the sizes alone.
 
 The paper's rational recursion `cent_function`, which `bench` and the
 acceptance checks run, numbers the k nodes so that children always precede
@@ -61,9 +63,9 @@ __all__ = [
     "recognize_and_build_cent_tree",
     "CentFunctionValues",
     "cent_function",
+    "count_cent_tree",
     "count_kn_minus_qt",
     "count_kn_minus_csplit",
-    "complete_split_sizes",
 ]
 
 
@@ -113,6 +115,12 @@ class CentTree:
     def node_count(self) -> int:
         return len(self.nodes) - 1
 
+    @property
+    def is_complete_split(self) -> bool:
+        """True when the graph is complete split: every node other than the
+        root is a leaf holding one vertex (or the root is the only node)."""
+        return all(not node.children and node.multiplicity == 1 for node in self.nodes[2:])
+
 
 def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     """Build the decomposition of q, or prove q is not quasi-threshold.
@@ -122,6 +130,12 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     witness piece when the peeling stalls, and ValueError when q is
     disconnected. Connectivity is checked only when the whole graph has no
     universal vertex, which every disconnected graph with p >= 2 lacks.
+
+    The peel guarantees the tree's invariants by construction: members of a
+    node are universal in their piece, so they share one degree; a piece
+    whose rest is connected has no universal vertex, so no internal node has
+    a single child; and the pieces partition V(q). Complete split graphs come
+    out as the trivial tree that `CentTree.is_complete_split` tests for.
     """
     p = q.vertex_count
     if p < 1:
@@ -194,9 +208,7 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
             labels[i] = label
             order[label] = i
 
-    ct = CentTree(p, nodes, levels, labels, order)
-    _check_construction(ct, q)
-    return ct
+    return CentTree(p, nodes, levels, labels, order)
 
 
 def _components_within(q: Graph, active: set):
@@ -204,8 +216,11 @@ def _components_within(q: Graph, active: set):
     sorted tuple, ordered by smallest member."""
     pending = set(active)
     parts = []
-    while pending:
-        start = min(pending)
+    # Starting from each unreached vertex in ascending order makes every
+    # start the smallest member of its component, so parts come out sorted.
+    for start in sorted(active):
+        if start not in pending:
+            continue
         pending.discard(start)
         comp = [start]
         stack = [start]
@@ -217,37 +232,7 @@ def _components_within(q: Graph, active: set):
                     comp.append(u)
                     stack.append(u)
         parts.append(tuple(sorted(comp)))
-    parts.sort(key=lambda part: part[0])
     return parts
-
-
-def _check_construction(ct: CentTree, q: Graph):
-    """Cheap structural sanity checks on a freshly built decomposition."""
-    seen = 0
-    subtree = [0] * (ct.node_count + 1)
-    above = [0] * (ct.node_count + 1)
-    for i in range(ct.node_count, 0, -1):
-        node = ct.nodes[i]
-        subtree[i] += node.multiplicity
-        if node.parent:
-            subtree[node.parent] += subtree[i]
-    for i in range(1, ct.node_count + 1):
-        node = ct.nodes[i]
-        seen += node.multiplicity
-        if node.parent:
-            par = ct.nodes[node.parent]
-            above[i] = above[node.parent] + par.multiplicity
-        assert not node.children or len(node.children) >= 2, (
-            f"internal node {i} has a single child"
-        )
-        assert all(q.degree(v) == node.degree for v in node.members), (
-            f"members of node {i} disagree on degree"
-        )
-        expected = (node.multiplicity - 1) + above[i] + (subtree[i] - node.multiplicity)
-        assert node.degree == expected, (
-            f"node {i}: degree {node.degree} != structural degree {expected}"
-        )
-    assert seen == ct.vertex_count, "node members do not partition the vertex set"
 
 
 @dataclass
@@ -331,16 +316,21 @@ def _layout_count(parents, mults, n: int) -> int:
     return tau_from_determinant(n, mass[1], det)
 
 
+def count_cent_tree(ct: CentTree, n: int) -> int:
+    """Exact tau(K_n - Q) for the quasi-threshold graph Q with node tree ct."""
+    nodes = ct.nodes[1:]
+    parents = [0] + [node.parent for node in nodes]
+    mults = [0] + [node.multiplicity for node in nodes]
+    return _layout_count(parents, mults, n)
+
+
 def count_kn_minus_qt(problem: Problem) -> int:
     """Exact tau(K_n - Q) for a connected quasi-threshold subtrahend Q.
 
     Raises NotQuasiThresholdError when Q is not quasi-threshold and
     ValueError when Q is disconnected.
     """
-    nodes = recognize_and_build_cent_tree(problem.h).nodes[1:]
-    parents = [0] + [node.parent for node in nodes]
-    mults = [0] + [node.multiplicity for node in nodes]
-    return _layout_count(parents, mults, problem.n)
+    return count_cent_tree(recognize_and_build_cent_tree(problem.h), problem.n)
 
 
 def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
@@ -354,21 +344,3 @@ def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
     if p > n:
         raise ValueError(f"subtrahend has {p} vertices but the host has only {n}")
     return _layout_count([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s, n)
-
-
-def complete_split_sizes(g: Graph):
-    """(clique size, independent size) if g is a complete split graph with a
-    nonempty clique part, else None."""
-    p = g.vertex_count
-    if p < 1:
-        return None
-    clique = [v for v in g.vertices() if g.degree(v) == p - 1]
-    if not clique:
-        return None
-    size_k = len(clique)
-    # Non-universal vertices must be pairwise non-adjacent, i.e. adjacent to
-    # exactly the universal set.
-    for v in g.vertices():
-        if g.degree(v) != p - 1 and g.degree(v) != size_k:
-            return None
-    return size_k, p - size_k

@@ -147,6 +147,16 @@ def test_count_csplit_flag(capsys):
     assert payload["k_or_p"] == 4
 
 
+def test_csplit_and_qt_methods_read_the_node_tree_shape(tmp_path, capsys):
+    for name, text in (("q", NESTED_QT), ("c", CYCLE4), ("d", DISCONNECTED)):
+        h = write(tmp_path, f"{name}.el", text)
+        code, _, err = run(capsys, ["count", "--n", "6", "--h", h, "--method", "csplit"])
+        assert code == 2 and "not a complete split graph" in err
+    t = write(tmp_path, "t.el", TRIANGLE)
+    code, out, _ = run(capsys, ["count", "--n", "5", "--h", t, "--method", "qt"])
+    assert code == 0 and json.loads(out)["method_used"] == "qt"
+
+
 def test_count_oracle_methods(tmp_path, capsys):
     p3 = write(tmp_path, "p3.el", PATH3)
     for method in ("kirchhoff", "cst-matrix", "enumerate"):
@@ -168,6 +178,10 @@ def test_parse_and_validation_errors_exit_1(tmp_path, capsys):
     assert code == 1 and "host" in err
     code, _, err = run(capsys, ["count", "--n", "4", "--csplit", "nope"])
     assert code == 1
+    binary = tmp_path / "binary.el"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, ["count", "--n", "4", "--h", str(binary)])
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_verbose_summary_on_stderr(tmp_path, capsys):

@@ -47,6 +47,7 @@ def test_parse_single_isolated_vertex():
         ("2", 1, "header"),
         ("x y", 1, "non-integer"),
         ("0 0", 1, "at least 1"),
+        ("10000001 0", 1, "exceeds the limit"),
         ("3 -1", 1, "negative edge count"),
         ("3 2\n1 2", 2, "promised 2 edges"),
         ("2 1\n1 two", 2, "non-integer"),

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ from kncomp.oracle import (
 from kncomp.qt_engine import (
     NotQuasiThresholdError,
     cent_function,
-    complete_split_sizes,
+    count_cent_tree,
     count_kn_minus_csplit,
     count_kn_minus_qt,
     recognize_and_build_cent_tree,
@@ -177,14 +178,48 @@ def test_csplit_matches_qt_engine():
                 )
 
 
-def test_complete_split_detection():
-    assert complete_split_sizes(csplit_graph(2, 3)) == (2, 3)
-    assert complete_split_sizes(complete_graph(4)) == (4, 0)
-    assert complete_split_sizes(Graph(1)) == (1, 0)
-    assert complete_split_sizes(path_graph(4)) is None
-    assert complete_split_sizes(Graph(3)) is None  # edgeless, no universal vertex
+def has_complete_split_degrees(g: Graph) -> bool:
+    """Complete split by degrees: a universal vertex exists, and every other
+    vertex is adjacent to exactly the universal vertices."""
+    p = g.vertex_count
+    universal = sum(g.degree(v) == p - 1 for v in g.vertices())
+    return universal > 0 and all(g.degree(v) in (p - 1, universal) for v in g.vertices())
+
+
+def node_tree_is_complete_split(g: Graph) -> bool:
+    try:
+        return recognize_and_build_cent_tree(g).is_complete_split
+    except ValueError:  # not quasi-threshold, or disconnected
+        return False
+
+
+def test_complete_split_shape_of_the_node_tree():
+    assert node_tree_is_complete_split(csplit_graph(2, 3))
+    assert node_tree_is_complete_split(complete_graph(4))
+    assert node_tree_is_complete_split(Graph(1))
+    assert not node_tree_is_complete_split(path_graph(4))
+    assert not node_tree_is_complete_split(Graph(3))  # edgeless, no universal vertex
     # star plus one extra edge among the leaves is not complete split
-    assert complete_split_sizes(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)])) is None
+    assert not node_tree_is_complete_split(Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)]))
+    for p in range(1, 7):
+        for g in all_graphs(p):
+            if is_connected(g):
+                assert node_tree_is_complete_split(g) == has_complete_split_degrees(g), g.edges()
+
+
+def test_many_pieces_are_split_in_linear_time():
+    # A star on 20000 leaves plus one leaf-leaf edge peels into 19999 pieces
+    # below the root; finding each piece by rescanning the unreached set is
+    # quadratic and takes seconds.
+    leaves = 20000
+    g = Graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)] + [(2, 3)])
+    start = time.perf_counter()
+    ct = recognize_and_build_cent_tree(g)
+    tau = count_cent_tree(ct, leaves + 1)
+    assert time.perf_counter() - start < 2.0
+    assert ct.node_count == leaves and not ct.is_complete_split
+    assert ct.nodes[2].members == (2, 3)
+    assert tau == 0  # n = p: the star's centre is isolated in K_n - H
 
 
 def test_recognition_matches_brute_force_exhaustively():
