@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 from . import oracle, qt_engine, tree_engine
 from .arith import ExactField, PrimeField, random_prime
-from .graph import EdgeListParseError, Graph, Problem, complement_in_host, parse_edge_list
+from .graph import (
+    EdgeListParseError,
+    Graph,
+    Problem,
+    check_host_size,
+    complement_in_host,
+    parse_edge_list,
+)
 from .graph import is_tree  # noqa: F401 -- unused; perfbench/test_tracing.py patches it here
 from .qt_engine import NotQuasiThresholdError
 
@@ -24,6 +31,7 @@ DEFAULT_SEED = 20240915
 ENGINE_METHODS = ("tree", "qt", "csplit")
 ORACLE_METHODS = ("kirchhoff", "cst-matrix", "enumerate")
 BENCH_FAMILIES = ("path", "star", "caterpillar", "random-tree", "random-qt")
+NOT_A_TREE = "--method tree: subtrahend is not a tree"
 
 
 class CliError(Exception):
@@ -101,20 +109,45 @@ def _load_problem(args) -> Problem:
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
     else:
-        parts = args.csplit.split(",")
-        if len(parts) != 2:
-            raise CliError(f"--csplit expects 'K,S', got {args.csplit!r}")
-        try:
-            size_k, size_s = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CliError(f"--csplit expects integers, got {args.csplit!r}") from None
-        if size_k < 1 or size_s < 0:
-            raise CliError("--csplit needs K >= 1 and S >= 0")
-        h = oracle.csplit_graph(size_k, size_s)
+        h = oracle.csplit_graph(*_csplit_sizes(args.csplit))
     try:
         return Problem(args.n, h)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _csplit_sizes(spec: str) -> tuple[int, int]:
+    """(K, S) from a --csplit 'K,S' argument."""
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise CliError(f"--csplit expects 'K,S', got {spec!r}")
+    try:
+        size_k, size_s = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise CliError(f"--csplit expects integers, got {spec!r}") from None
+    if size_k < 1 or size_s < 0:
+        raise CliError("--csplit needs K >= 1 and S >= 0")
+    return size_k, size_s
+
+
+def _graphless_csplit(args) -> tuple[int, int] | None:
+    """(K, S) when `count --csplit K,S` counts from the sizes alone, else None.
+
+    An oracle needs the graph. So does a tree (K = 1, or K = 2 with S = 0)
+    under auto or tree, which the tree engine counts; its graph has linear
+    size. The graph of any other complete split subtrahend has order
+    K^2 + K*S edges, which the count does not need.
+    """
+    if args.csplit is None or args.method in ORACLE_METHODS:
+        return None
+    size_k, size_s = _csplit_sizes(args.csplit)
+    if args.method in ("auto", "tree") and (size_k == 1 or (size_k, size_s) == (2, 0)):
+        return None
+    try:
+        check_host_size(args.n, size_k + size_s)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return size_k, size_s
 
 
 def _run_oracle(method: str, problem: Problem) -> int:
@@ -149,7 +182,7 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
             return tree_engine.count_kn_minus_tree(problem), "tree", None
         except tree_engine.NotATreeError:
             if not auto:
-                raise PreconditionError("--method tree: subtrahend is not a tree") from None
+                raise PreconditionError(NOT_A_TREE) from None
     # method is auto, qt or csplit
     not_csplit = "--method csplit: subtrahend is not a complete split graph"
     try:
@@ -170,24 +203,39 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
     return qt_engine.count_cent_tree(ct, problem.n), used, None
 
 
+def _run_csplit(method: str, n: int, size_k: int, size_s: int) -> tuple[int, str, None]:
+    """`_run` for a complete split subtrahend that is not a tree, from its
+    sizes: the label is the one `_run` reads off its node tree."""
+    if method == "tree":
+        raise PreconditionError(NOT_A_TREE)
+    used = "qt" if method == "qt" else "csplit"
+    return qt_engine.count_kn_minus_csplit(n, size_k, size_s), used, None
+
+
 def cmd_count(args) -> int:
-    problem = _load_problem(args)
+    sizes = _graphless_csplit(args)
+    problem = None if sizes else _load_problem(args)
     start = time.perf_counter()
-    tau, used, reason = _run(args.method, problem)
+    if sizes:
+        n, p = args.n, sum(sizes)
+        tau, used, reason = _run_csplit(args.method, n, *sizes)
+    else:
+        n, p = problem.n, problem.h.vertex_count
+        tau, used, reason = _run(args.method, problem)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     result = CountResult(
         tau=tau,
         method_used=used,
         fallback_reason=reason,
         elapsed_ms=elapsed_ms,
-        n=problem.n,
-        k_or_p=problem.h.vertex_count,
+        n=n,
+        k_or_p=p,
     )
     print(result.to_json())
     if args.verbose:
         with _no_int_digit_limit():
             print(
-                f"tau(K_{problem.n} - H) = {tau} via {used}"
+                f"tau(K_{n} - H) = {tau} via {used}"
                 + (f" (fallback: {reason})" if reason else "")
                 + f" in {elapsed_ms:.3f} ms",
                 file=sys.stderr,

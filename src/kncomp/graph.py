@@ -3,8 +3,16 @@
 The edge-list text format is a header line "k m" followed by m lines "u v"
 with 1-indexed endpoints. The serializer writes edges in lexicographic
 order, so parse/serialize round-trips are exact.
+
+The serializer's output is canonical text: "k m" and every "u v" in plain
+decimal with no leading zeros, one space between the two numbers and "\n"
+after each line. The parser reads canonical text in bulk and re-reads
+anything else, or any canonical text that fails a check, line by line; the
+line scan alone decides what is accepted and what each error says.
 """
 
+import operator
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -16,10 +24,20 @@ __all__ = [
     "is_connected",
     "is_tree",
     "complement_in_host",
+    "check_host_size",
 ]
 
 
 MAX_VERTEX_COUNT = 10**7
+# Canonical text, bounded to the digits a valid header or endpoint can have
+# (k <= 10^7, m <= k(k-1)/2 < 10^14), so that int() never meets a number
+# beyond CPython's limit on the digits of an int conversion.
+_CANONICAL_HEADER = re.compile(r"[1-9][0-9]{0,7} (?:0|[1-9][0-9]{0,13})")
+_CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
+# The bulk parse checks and splits the body this many characters at a time,
+# cut at a newline. Neither the tokens nor the matcher's stack, which grows
+# with the lines it matches (16 MB for 90,000 lines), then scale with the file.
+_CHUNK_CHARS = 1 << 16
 
 
 class EdgeListParseError(ValueError):
@@ -50,9 +68,20 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(ns)) for ns in adj)
-        # A duplicate edge (u, v) shows as a repeated neighbor in the sorted
-        # list of u; scanning u upward meets it first at u = min(u, v).
+        self._freeze(vertex_count, adj)
+
+    def _freeze(self, vertex_count: int, adj: list) -> None:
+        """Take the neighbor lists `adj` (index 0 unused), sorting them in place.
+
+        A duplicate edge (u, v) shows as a repeated neighbor in the sorted
+        list of u, and a loop (v, v) as v twice in the list of v; scanning u
+        upward meets either first at u = min(u, v) and raises ValueError.
+        """
+        for ns in adj:
+            ns.sort()
+        # From a list: tuple() of a generator grows its result step by step,
+        # which leaves a long-running caller with a larger heap.
+        self._adj = tuple([tuple(ns) for ns in adj])
         for u, ns in enumerate(self._adj):
             if len(set(ns)) != len(ns):
                 v = next(w for w, x in zip(ns, ns[1:]) if w == x)
@@ -94,8 +123,63 @@ def parse_edge_list(text: str) -> Graph:
     Every malformed input raises EdgeListParseError carrying the offending
     line number: bad header, k < 1 or k > MAX_VERTEX_COUNT, non-integer
     tokens, loops, duplicate edges, out-of-range endpoints, or an edge count
-    that contradicts the header. Blank lines are ignored.
+    that contradicts the header. Blank lines are ignored, and any whitespace
+    separates tokens; canonical text is read in bulk, everything else line
+    by line, with the same result.
     """
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The Graph of canonical text, read in bulk; None for any other text
+    and for canonical text that fails a check, which the line scan reports."""
+    header, _, body = text.partition("\n")
+    if not _CANONICAL_HEADER.fullmatch(header):
+        return None
+    k, m = map(int, header.split(" "))
+    if k > MAX_VERTEX_COUNT or body.count("\n") != m:
+        return None
+    # Endpoints come from a table of the names of 1..k, which also checks
+    # their range. When k <= 2m the text, at least 4m characters, is larger
+    # than the table; a larger k, such as a header "10000000 1", takes int()
+    # and a range check instead.
+    table = {str(v): v for v in range(1, k + 1)} if k <= 2 * m else None
+    adj = [[] for _ in range(k + 1)]
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _CHUNK_CHARS) + 1 or len(body)
+        chunk = body[start:end]
+        start = end
+        if not _CANONICAL_LINES.fullmatch(chunk):
+            return None
+        tokens = chunk.split()
+        if table is not None:
+            try:
+                # A chunk holds at least one line, so at least two tokens,
+                # and itemgetter returns a tuple.
+                values = operator.itemgetter(*tokens)(table)
+            except KeyError:
+                return None
+        else:
+            values = list(map(int, tokens))
+            if max(values) > k:
+                return None
+        pairs = iter(values)
+        for u, v in zip(pairs, pairs):
+            adj[u].append(v)
+            adj[v].append(u)
+    g = Graph.__new__(Graph)
+    try:
+        g._freeze(k, adj)
+    except ValueError:  # a duplicate edge or a loop
+        return None
+    return g
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line scan behind parse_edge_list: accepts any whitespace and
+    reports the first malformed line."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EdgeListParseError(1, "missing 'k m' header")
@@ -187,13 +271,15 @@ class Problem:
     h: Graph
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"host size must be at least 1, got {self.n}")
-        if self.h.vertex_count > self.n:
-            raise ValueError(
-                f"subtrahend has {self.h.vertex_count} vertices "
-                f"but the host has only {self.n}"
-            )
+        check_host_size(self.n, self.h.vertex_count)
+
+
+def check_host_size(n: int, p: int) -> None:
+    """Raise ValueError unless a host K_n can hold a subtrahend on p vertices."""
+    if n < 1:
+        raise ValueError(f"host size must be at least 1, got {n}")
+    if p > n:
+        raise ValueError(f"subtrahend has {p} vertices but the host has only {n}")
 
 
 def complement_in_host(problem: Problem) -> Graph:

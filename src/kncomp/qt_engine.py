@@ -54,7 +54,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .arith import ExactField, tau_from_determinant
-from .graph import Graph, Problem, is_connected
+from .graph import Graph, Problem, check_host_size, is_connected
 
 __all__ = [
     "NotQuasiThresholdError",
@@ -340,7 +340,5 @@ def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
         raise ValueError("clique part needs at least one vertex")
     if size_s < 0:
         raise ValueError(f"negative independent-part size {size_s}")
-    p = size_k + size_s
-    if p > n:
-        raise ValueError(f"subtrahend has {p} vertices but the host has only {n}")
+    check_host_size(n, size_k + size_s)
     return _layout_count([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s, n)

@@ -1,13 +1,14 @@
 import json
 import random
 import sys
+import time
 
 from conftest import random_permutation, relabel
-from kncomp import cli, tree_engine
+from kncomp import cli, oracle, tree_engine
 from kncomp.arith import PrimeField, random_prime
 from kncomp.cli import CountResult, bench_once, main
 from kncomp.graph import serialize_edge_list
-from kncomp.oracle import path_graph
+from kncomp.oracle import csplit_graph, path_graph
 
 PATH3 = "3 2\n1 2\n2 3\n"
 PATH4 = "4 3\n1 2\n2 3\n3 4\n"
@@ -145,6 +146,45 @@ def test_count_csplit_flag(capsys):
     assert payload["tau"] == "16"
     assert payload["method_used"] == "csplit"
     assert payload["k_or_p"] == 4
+
+
+def without_elapsed(out: str):
+    if not out:
+        return out
+    payload = json.loads(out)
+    del payload["elapsed_ms"]
+    return payload
+
+
+def test_csplit_sizes_count_like_the_built_graph(tmp_path, capsys):
+    methods = ("auto",) + cli.ENGINE_METHODS + cli.ORACLE_METHODS
+    for size_k in range(1, 5):
+        for size_s in range(6):
+            h = write(tmp_path, "h.el", serialize_edge_list(csplit_graph(size_k, size_s)))
+            p = size_k + size_s
+            for n in (p - 1, p, p + 1):
+                for method in methods:
+                    common = ["count", "--n", str(n), "--method", method]
+                    sizes = run(capsys, common + ["--csplit", f"{size_k},{size_s}"])
+                    built = run(capsys, common + ["--h", h])
+                    assert sizes[0] == built[0], (size_k, size_s, n, method)
+                    assert without_elapsed(sizes[1]) == without_elapsed(built[1])
+                    assert sizes[2] == built[2]
+
+
+def test_csplit_count_needs_no_graph(capsys, monkeypatch):
+    def no_graph(*_):
+        raise AssertionError("the count built the graph")
+
+    # The graph would have 5 * 10^7 + 10^8 edges.
+    monkeypatch.setattr(oracle, "csplit_graph", no_graph)
+    n, size_k, size_s = 20_010, 10_000, 10_000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["count", "--n", str(n), "--csplit", f"{size_k},{size_s}"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and json.loads(out)["method_used"] == "csplit"
+    p = size_k + size_s
+    assert read_tau(out) == n ** (n - p - 1) * (n - size_k) ** (size_s - 1) * (n - p) ** size_k
 
 
 def test_csplit_and_qt_methods_read_the_node_tree_shape(tmp_path, capsys):

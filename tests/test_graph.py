@@ -1,9 +1,12 @@
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kncomp import graph
 from kncomp.graph import (
     EdgeListParseError,
     Graph,
@@ -14,6 +17,7 @@ from kncomp.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from kncomp.oracle import path_graph
 
 
 @st.composite
@@ -43,6 +47,8 @@ def test_parse_single_isolated_vertex():
         ("2 1\n1 1", 2, "loop"),
         ("3 2\n1 2\n1 2", 3, "duplicate"),
         ("2 1\n1 5", 2, "out of range"),
+        ("10 1\n1 11\n", 2, "out of range"),
+        ("3 2\n1 2 3\n1\n", 2, "expected 'u v'"),  # four tokens, but not two per line
         ("nonsense", 1, "header"),
         ("2", 1, "header"),
         ("x y", 1, "non-integer"),
@@ -69,6 +75,116 @@ def test_serialize_sorts_edges_lexicographically():
 @given(graphs())
 def test_parse_serialize_round_trip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+def parse_outcome(parse, text):
+    """The Graph `parse` returns, or the message and line of its error."""
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return str(exc), exc.line_no
+
+
+# Edits that break canonical text in the ways a file can: stray or other
+# whitespace, signs, leading zeros, wrong tokens, and lines that repeat an
+# edge, reverse it, loop, leave the range or change the count.
+MUTATION_TEXTS = [" ", "\n", "\r\n", "\t", "\x0b", "\x1c", "0", "-", "+", "x", "\u0661", "1", "9"]
+
+
+@st.composite
+def mutated_edge_lists(draw):
+    g = draw(graphs(max_k=9))
+    lines = serialize_edge_list(g).splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "line", "header"]))
+        text = "".join(lines)
+        if kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(MUTATION_TEXTS)) + text[at:]
+        elif kind == "delete" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at + 1 :]
+        elif kind == "line":
+            u = draw(st.integers(0, g.vertex_count + 1))
+            v = draw(st.sampled_from([u, draw(st.integers(0, g.vertex_count + 1))]))
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, f"{u} {v}\n")
+            lines[0] = f"{g.vertex_count} {len(lines) - 1}\n"
+            text = "".join(lines)
+        else:
+            m = draw(st.integers(0, g.edge_count + 2))
+            text = f"{g.vertex_count} {m}\n" + "".join(lines[1:])
+        lines = text.splitlines(keepends=True) or [""]
+    return g, "".join(lines)
+
+
+@given(mutated_edge_lists(), st.integers(1, 16))
+def test_bulk_parse_agrees_with_the_line_scan(case, chunk_chars):
+    g, text = case
+    # Small chunks put the chunk boundaries of these short texts anywhere.
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+        assert graph._parse_canonical(serialize_edge_list(g)) == g
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+
+def _late_line_text(last_line: str) -> str:
+    """A path on 20000 vertices, over 64 KiB of text, ending in `last_line`."""
+    lines = serialize_edge_list(path_graph(20_000)).splitlines()
+    lines[0] = "20000 20000"
+    return "\n".join(lines + [last_line]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "last_line, fragment",
+    [("20000 19999", "duplicate edge (19999, 20000)"), ("1 20001", "out of range"), ("7 7", "loop")],
+)
+def test_bulk_parse_reports_a_late_bad_line(last_line, fragment):
+    text = _late_line_text(last_line)
+    assert len(text) > 2 * graph._CHUNK_CHARS
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line_no == 20001
+    assert fragment in str(err.value)
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\r\n1 2\r\n2 3\r\n",
+        "3 2\x0b1 2\x0b2 3",
+        "3 2\n\n1 2\n   \n2\t3\n\n",
+        " 3  2\n1 2\n2 3\n",
+    ],
+)
+def test_other_whitespace_still_parses(text):
+    assert graph._parse_canonical(text) is None
+    assert parse_edge_list(text) == Graph(3, [(1, 2), (2, 3)])
+
+
+def traced_peak(parse, text) -> int:
+    """Peak bytes traced while `parse` reads `text`."""
+    tracemalloc.start()
+    try:
+        parse(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_huge_header_builds_no_vertex_name_table():
+    # A table of 2 * 10^5 vertex names would take over 10 MB; the graph
+    # itself holds one empty neighbor list per vertex, about 16 MB.
+    text = "200000 1\n1 200000\n"
+    assert parse_edge_list(text).edges() == [(1, 200_000)]
+    assert traced_peak(parse_edge_list, text) <= traced_peak(graph._parse_lines, text) + 2**20
+
+
+def test_bulk_parse_memory_does_not_grow_with_the_line_count():
+    # K_300 has 44,850 lines: matching them all at once, not a chunk at a
+    # time, would take over 8 MB, about as much as the line scan's 10 MB.
+    text = serialize_edge_list(Graph(300, list(combinations(range(1, 301), 2))))
+    assert traced_peak(parse_edge_list, text) < traced_peak(graph._parse_lines, text) / 2
 
 
 def test_graph_rejects_bad_edges():
