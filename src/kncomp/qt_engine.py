@@ -101,13 +101,12 @@ class CentTree:
 
     Node ids follow discovery order (root is node 1, then breadth-first
     with sibling pieces ordered by smallest member vertex). Labels follow
-    leaf-peel levels of the node tree, so children always carry smaller
-    labels than their parent and the root carries label k.
+    leaf-peel levels of the node tree, ties in id order, so children always
+    carry smaller labels than their parent and the root carries label k.
     """
 
     vertex_count: int
     nodes: list  # nodes[0] unused; node id i -> nodes[i]
-    levels: list  # node ids grouped by height, ascending creation order within
     labels: list  # labels[node_id] -> 1..k  ([0] unused)
     order: list  # order[label] -> node_id  ([0] unused)
 
@@ -149,8 +148,7 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
 
     members_by_node = [()]
     parents = [0]
-    queue = deque()
-    queue.append((tuple(q.vertices()), 0))
+    queue = deque([(list(q.vertices()), 0)])
     while queue:
         piece, parent = queue.popleft()
         size = len(piece)
@@ -170,8 +168,7 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
         rest = set(piece).difference(cent)
         for v in rest:
             inner_deg[v] -= len(cent)
-        for part in _components_within(q, rest):
-            queue.append((part, node_id))
+        queue.extend((part, node_id) for part in _pieces(q, rest, inner_deg))
 
     k = len(members_by_node) - 1
     children = [[] for _ in range(k + 1)]
@@ -190,48 +187,49 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
             )
         )
 
-    # Leaf-peel levels of the node tree = grouping by height; children are
-    # always created after their parent, so one reverse sweep suffices.
+    # Leaf-peel level = height in the node tree; children are always
+    # created after their parent, so one reverse sweep suffices.
     height = [0] * (k + 1)
-    for i in range(k, 0, -1):
-        if children[i]:
-            height[i] = 1 + max(height[c] for c in children[i])
-    levels = [[] for _ in range(max(height[1:]) + 1)]
-    for i in range(1, k + 1):
-        levels[height[i]].append(i)
+    for i in range(k, 1, -1):
+        height[parents[i]] = max(height[parents[i]], height[i] + 1)
+    order = [0] + sorted(range(1, k + 1), key=height.__getitem__)
     labels = [0] * (k + 1)
-    order = [0] * (k + 1)
-    label = 0
-    for level in levels:
-        for i in level:
-            label += 1
-            labels[i] = label
-            order[label] = i
+    for label, i in enumerate(order):
+        labels[i] = label
 
-    return CentTree(p, nodes, levels, labels, order)
+    return CentTree(p, nodes, labels, order)
 
 
-def _components_within(q: Graph, active: set):
-    """Connected components of the subgraph induced by `active`, each as a
-    sorted tuple, ordered by smallest member."""
-    pending = set(active)
+def _pieces(q: Graph, rest: set, inner_deg: list) -> list:
+    """Connected components of the subgraph induced by `rest` as sorted
+    lists, ordered by smallest member; inner_deg[v] is v's degree in `rest`.
+
+    The largest piece needs no search: in a quasi-threshold graph the vertex
+    w of largest inner degree is universal in it, so it is rest & N[w]. Only
+    the other pieces, each at most half of `rest`, are searched, so each
+    adjacency is scanned O(log p) times in all. A search that touches w's
+    piece joins it, which keeps the result exact for any graph.
+    """
+    w = max(rest, key=inner_deg.__getitem__)
+    big = rest.intersection(q.neighbors(w))
+    big.add(w)
+    pending = rest - big
     parts = []
-    # Starting from each unreached vertex in ascending order makes every
-    # start the smallest member of its component, so parts come out sorted.
-    for start in sorted(active):
-        if start not in pending:
-            continue
-        pending.discard(start)
+    while pending:
+        start = pending.pop()
         comp = [start]
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u in q.neighbors(v):
-                if u in pending:
-                    pending.discard(u)
-                    comp.append(u)
-                    stack.append(u)
-        parts.append(tuple(sorted(comp)))
+            found = pending.intersection(q.neighbors(stack.pop()))
+            pending -= found
+            comp += found
+            stack += found
+        if any(not big.isdisjoint(q.neighbors(v)) for v in comp):
+            big.update(comp)
+        else:
+            parts.append(sorted(comp))
+    parts.append(sorted(big))
+    parts.sort()
     return parts
 
 

@@ -222,6 +222,57 @@ def test_many_pieces_are_split_in_linear_time():
     assert tau == 0  # n = p: the star's centre is isolated in K_n - H
 
 
+def is_stalled_piece(g: Graph, witness) -> bool:
+    """True when `witness` induces a connected subgraph of g with no
+    universal vertex."""
+    inside = set(witness)
+    inner = {v: inside.intersection(g.neighbors(v)) for v in witness}
+    if any(len(ns) == len(inside) - 1 for ns in inner.values()):
+        return False
+    reached = {witness[0]}
+    stack = [witness[0]]
+    while stack:
+        for u in inner[stack.pop()] - reached:
+            reached.add(u)
+            stack.append(u)
+    return reached == inside
+
+
+def test_witness_piece_joins_vertices_outside_the_largest_neighborhood():
+    # Vertex 5 is universal over the path 1-2-3-4. Below it, vertex 2 (or 3)
+    # has the largest inner degree, and its closed neighborhood misses one
+    # end of the path, which must still join its piece.
+    g = Graph(5, [(1, 2), (2, 3), (3, 4)] + [(v, 5) for v in range(1, 5)])
+    with pytest.raises(NotQuasiThresholdError) as err:
+        recognize_and_build_cent_tree(g)
+    assert err.value.witness == (1, 2, 3, 4)
+
+
+def deep_chain_layout(depth: int):
+    """A chain of `depth` internal nodes, one leaf under each and two under
+    the last, every multiplicity 1: the node tree is `depth` + 1 levels deep."""
+    parents = [0, 0]
+    chain = 1
+    for _ in range(depth - 1):
+        parents += [chain, chain]  # the next chain node, then a leaf
+        chain = len(parents) - 2
+    parents += [chain, chain]
+    return parents, [0] + [1] * (len(parents) - 1)
+
+
+def test_deep_node_trees_are_recognized_quickly():
+    # 801 vertices and 160,400 edges. Rescanning each vertex's whole
+    # adjacency at every level above it takes seconds here.
+    g = graph_from_cent_layout(*deep_chain_layout(400))
+    g = relabel(g, random_permutation(g.vertex_count, random.Random(400)))
+    start = time.perf_counter()
+    ct = recognize_and_build_cent_tree(g)
+    count_cent_tree(ct, g.vertex_count + 1)
+    assert time.perf_counter() - start < 0.5
+    assert ct.node_count == 801
+    check_node_tree(ct, g)
+
+
 def test_recognition_matches_brute_force_exhaustively():
     for k in range(1, 7):
         for g in all_graphs(k):
@@ -231,8 +282,9 @@ def test_recognition_matches_brute_force_exhaustively():
             try:
                 ct = recognize_and_build_cent_tree(g)
                 recognized = True
-            except NotQuasiThresholdError:
+            except NotQuasiThresholdError as err:
                 recognized = False
+                assert is_stalled_piece(g, err.witness), g.edges()
             assert recognized == (not forbidden), g.edges()
             if recognized:
                 check_node_tree(ct, g)
@@ -253,6 +305,33 @@ def test_recognition_matches_brute_force_sampled_7():
         except NotQuasiThresholdError:
             recognized = False
         assert recognized == (not forbidden), g.edges()
+
+
+@given(st.integers(2, 14), st.integers(1, 2), st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_recognition_matches_brute_force_near_quasi_threshold(max_nodes, mult, seed, toggle_seed):
+    # One toggled edge in a relabeled quasi-threshold graph with p <= 14
+    # reaches deeper node trees than the exhaustive graphs do.
+    g = random_qt_graph(max_nodes // mult, mult, seed)
+    p = g.vertex_count
+    assume(p >= 2)
+    rng = random.Random(toggle_seed)
+    g = relabel(g, random_permutation(p, rng))
+    edges = set(g.edges())
+    edges ^= {tuple(sorted(rng.sample(range(1, p + 1), 2)))}
+    g = Graph(p, edges)
+    if not is_connected(g):
+        with pytest.raises(ValueError, match="disconnected"):
+            recognize_and_build_cent_tree(g)
+        return
+    try:
+        ct = recognize_and_build_cent_tree(g)
+    except NotQuasiThresholdError as err:
+        assert has_induced_p4_or_c4(g), g.edges()
+        assert is_stalled_piece(g, err.witness), g.edges()
+        return
+    assert not has_induced_p4_or_c4(g), g.edges()
+    check_node_tree(ct, g)
 
 
 @given(st.integers(1, 6), st.integers(0, 10**6))
