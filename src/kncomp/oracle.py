@@ -75,8 +75,9 @@ def bareiss_determinant(rows) -> int:
 
 def rational_determinant(rows) -> Fraction:
     """Exact determinant of a rational matrix by Gaussian elimination,
-    pivoting on the first nonzero entry of each column."""
-    m = [list(row) for row in rows]
+    pivoting on the first nonzero entry of each column. Integer entries are
+    made Fractions, so every quotient is exact."""
+    m = [[Fraction(x) for x in row] for row in rows]
     size = len(m)
     if size == 0:
         return Fraction(1)

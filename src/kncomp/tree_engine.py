@@ -1,24 +1,29 @@
 """Spanning trees of K_n minus a tree, in O(k) integer recursion steps.
 
 Every count satisfies tau(K_n - T) = n^(n-k-2) * det(n*I_k - L(T)), where
-L(T) is the Laplacian of the k-vertex tree T. Peeling T layer by layer
-(removing all current leaves at once) and numbering the vertices level by
-level produces a labeling in which every vertex has at most one neighbor
-with a larger label, so the labels order the vertices from the leaves to a
-root. Writing d_v for the degree of v in T and ch(v) for its neighbors with
-smaller labels, the subtree determinants
+L(T) is the Laplacian of the k-vertex tree T. Orient T from its leaves to a
+root and write d_v for the degree of v in T and ch(v) for its children. The
+subtree determinants
 
     F(v) = prod(D(c) for c in ch(v))
     D(v) = (n - d_v) * F(v) - sum(F(c) * prod(D(c') for c' in ch(v), c' != c)
                                   for c in ch(v))
 
-evaluated in ascending label order end at D(root) = det(n*I_k - L(T)).
-`count_kn_minus_tree` uses this recursion: it never divides, so it has no
-zero pivots, and the only division is the exact one by n^(k+2-n) when
+end at D(root) = det(n*I_k - L(T)). `count_kn_minus_tree` evaluates them in
+one leaf-peel pass: a queue peels the current leaves, each peeled vertex
+folds (D(v), F(v)) into its one unpeeled neighbor, and the last vertex
+peeled, a center of T, is the root. It never divides, so it has no zero
+pivots, and the only division is the exact one by n^(k+2-n) when
 k >= n - 1.
 
-`st_function` is the paper's rational form of the same elimination. With
-b = 1/n and a_i = 1 - d_i*b, the pivots
+`st_decompose` peels T level by level (removing all current leaves at
+once) and numbers the vertices level by level, so every vertex has at most
+one neighbor with a larger label. These peel levels and labels serve only
+the paper's recursion below.
+
+`st_function` is the paper's rational form of the same elimination, with
+ch(i) the neighbors of i with smaller labels. With b = 1/n and
+a_i = 1 - d_i*b, the pivots
 
     L(i) = a_i - b^2 * sum(1 / L(j) for j in ch(i))
 
@@ -145,24 +150,41 @@ def st_function(dec: StDecomposition, n: int, field=None) -> list:
 
 
 def count_kn_minus_tree(problem: Problem) -> int:
-    """Exact tau(K_n - T) for a tree subtrahend T.
+    """Exact tau(K_n - T) for a tree subtrahend T, in one leaf-peel pass.
 
-    Raises NotATreeError for non-tree input, and NonIntegerProductError if
-    the final exact division leaves a remainder (an engine bug).
+    A FIFO queue peels the current leaves, so every vertex is evaluated
+    after the subtrees hanging off it and the last vertex peeled is a
+    center of T. Raises NotATreeError for non-tree input, and
+    NonIntegerProductError if the final exact division leaves a remainder
+    (an engine bug).
     """
-    dec = st_decompose(problem.h)
-    n, k = problem.n, dec.vertex_count
-    order, ch, deg = dec.order, dec.ch, dec.deg
-    # subtree[v] = (D(v), F(v)) until v's parent consumes it; each vertex has
-    # one parent, so dropping consumed entries keeps only the live frontier.
-    subtree = [None] * (k + 1)
-    for t in range(1, k + 1):
-        v = order[t]
-        prod, cross = 1, 0
-        for c in ch[v]:
-            d_c, f_c = subtree[c]
-            subtree[c] = None
-            cross = cross * d_c + f_c * prod
-            prod *= d_c
-        subtree[v] = ((n - deg[v]) * prod - cross, prod)
-    return tau_from_determinant(n, k, subtree[order[k]][0])
+    t, n = problem.h, problem.n
+    k = t.vertex_count
+    if k < 1 or t.edge_count != k - 1:
+        raise NotATreeError(f"graph with {k} vertices and {t.edge_count} edges is not a tree")
+    adj = list(map(t.neighbors, range(k + 1)))
+    deg = list(map(len, adj))
+    rem = deg.copy()  # unpeeled neighbors
+    # prod[v] and cross[v] are F(v) and the sum in D(v) over the children
+    # folded into v so far. Peeling v sets both to None, which releases them
+    # and marks v peeled, so only the live frontier is kept.
+    prod = [1] * (k + 1)
+    cross = [0] * (k + 1)
+    queue = [v for v in range(1, k + 1) if deg[v] <= 1]
+    for peeled, v in enumerate(queue, 1):
+        f_v, c_v = prod[v], cross[v]
+        prod[v] = cross[v] = None
+        d_v = (n - deg[v]) * f_v - c_v
+        if peeled == k:
+            return tau_from_determinant(n, k, d_v)
+        for u in adj[v]:
+            if prod[u] is not None:
+                break
+        else:  # v is a whole component, and other vertices remain
+            break
+        cross[u] = cross[u] * d_v + f_v * prod[u]
+        prod[u] *= d_v
+        rem[u] -= 1
+        if rem[u] == 1:
+            queue.append(u)
+    raise NotATreeError(f"graph with {k} vertices and {k - 1} edges has a cycle")

@@ -88,6 +88,24 @@ def test_bareiss_matches_rational_elimination():
         assert bareiss_determinant(rows) == expected
 
 
+def test_rational_determinant_is_exact_on_integer_rows():
+    # True division of these ints gave -7224.000000000003.
+    rows = [
+        [0, 0, -1, -9, 1, 2],
+        [1, 0, -9, 0, 3, -1],
+        [2, -1, 2, 1, -2, -1],
+        [0, 2, 0, 0, 1, -1],
+        [7, 1, 2, 2, 2, -1],
+        [-2, -1, 1, 8, 0, 5],
+    ]
+    det = rational_determinant(rows)
+    assert type(det) is Fraction and det == -7224
+    assert bareiss_determinant(rows) == -7224
+    # Fraction rows, as cst_matrix_count passes them, give the same value.
+    fractions = [[Fraction(x) for x in row] for row in rows]
+    assert rational_determinant(fractions) == det
+
+
 def test_bareiss_handles_zero_pivots():
     assert bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert bareiss_determinant([[0, 0], [0, 0]]) == 0

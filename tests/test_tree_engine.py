@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_permutation, relabel
-from kncomp.arith import ExactField, PrimeField
-from kncomp.graph import Graph, Problem, complement_in_host
+from kncomp.arith import ExactField, PrimeField, random_prime
+from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
+    all_graphs,
     all_labeled_trees,
+    caterpillar_graph,
     kirchhoff_count,
+    path_graph,
     random_labeled_tree,
     star_graph,
 )
@@ -54,18 +57,28 @@ def test_decompose_single_edge_peels_in_one_level():
     assert dec.ch[2] == (1,)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),  # cycle
-        Graph(4, [(1, 2), (3, 4)]),  # two disjoint edges
-        Graph(3, []),  # edgeless
-        Graph(4, [(1, 2), (2, 3), (1, 3)]),  # k - 1 edges: triangle plus isolated vertex
-    ],
-)
+NON_TREES = [
+    Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),  # cycle
+    Graph(4, [(1, 2), (3, 4)]),  # two disjoint edges
+    Graph(3, []),  # edgeless
+    Graph(4, [(1, 2), (2, 3), (1, 3)]),  # k - 1 edges: triangle plus isolated vertex
+    # k - 1 edges: the path 1-2 peels to its last vertex, the triangle never
+    Graph(5, [(1, 2), (3, 4), (4, 5), (5, 3)]),
+    Graph(0),
+]
+
+
+@pytest.mark.parametrize("g", NON_TREES)
 def test_decompose_rejects_non_trees(g):
     with pytest.raises(NotATreeError):
         st_decompose(g)
+
+
+@pytest.mark.parametrize("g", NON_TREES)
+def test_count_rejects_non_trees(g):
+    message = "has a cycle" if g.edge_count == g.vertex_count - 1 else "is not a tree"
+    with pytest.raises(NotATreeError, match=message):
+        count_kn_minus_tree(Problem(6, g))
 
 
 def test_st_function_path3():
@@ -93,6 +106,42 @@ def test_count_examples():
     assert count_kn_minus_tree(Problem(2, Graph(2, [(1, 2)]))) == 0
     assert count_kn_minus_tree(Problem(5, Graph(1))) == 125
     assert count_kn_minus_tree(Problem(1, Graph(1))) == 1
+
+
+def test_count_rejects_exactly_the_non_trees_with_k_minus_1_edges():
+    rejected = 0
+    for p in range(1, 7):
+        for g in all_graphs(p):
+            if g.edge_count != p - 1:
+                continue
+            if not is_tree(g):
+                with pytest.raises(NotATreeError):
+                    count_kn_minus_tree(Problem(p, g))
+                rejected += 1
+                continue
+            for n in (p, p + 1, p + 3):
+                problem = Problem(n, g)
+                assert count_kn_minus_tree(problem) == kirchhoff_count(
+                    complement_in_host(problem)
+                )
+    # C(C(p,2), p-1) graphs minus p^(p-2) trees for p = 4, 5, 6; none below
+    assert rejected == 4 + 85 + 1707
+
+
+@pytest.mark.parametrize("make", [path_graph, caterpillar_graph])
+def test_large_tau_matches_the_pivot_product_mod_a_prime(make):
+    # Vertex 1 is an end of the path and of the spine, so these trees check
+    # a peel that ends at a center, far from vertex 1.
+    k = n = 20000
+    t = make(k)
+    tau = count_kn_minus_tree(Problem(n, t))
+    assert 10**86011 <= tau < 10**86012
+    field = PrimeField(random_prime(62, random.Random(k)))
+    q = field.modulus
+    expected = pow(n, n - 2, q)
+    for value in st_function(st_decompose(t), n, field)[1:]:
+        expected = expected * value % q
+    assert tau % q == expected
 
 
 def _paper_pivot_product(t: Graph, n: int) -> int:
