@@ -1,10 +1,12 @@
 """Ground-truth spanning-tree counts and seeded test-instance generators.
 
 Two independent determinant oracles guard the engines: the classical
-Laplacian-cofactor count computed with fraction-free integer elimination,
-and a rational count that scales the determinant of the complement
-adjacency system by n^(n-2). For tiny graphs an exhaustive subset
-enumerator provides a third, arithmetic-free answer.
+Laplacian-cofactor count, and a rational count that scales the determinant
+of the complement adjacency system by n^(n-2). The cofactor's minor is
+symmetric and positive semidefinite, so it is eliminated fraction-free on
+its upper triangle with no row swaps, and a zero pivot means the count is 0.
+For tiny graphs an exhaustive subset enumerator provides a third,
+arithmetic-free answer.
 """
 
 import random
@@ -104,22 +106,44 @@ def kirchhoff_count(g: Graph) -> int:
     """Spanning trees via the matrix-tree theorem.
 
     Deletes the last row and column of the integer Laplacian (any choice
-    works; fixing one keeps runs deterministic) and evaluates the minor
-    with Bareiss elimination. Returns 1 for a single vertex and 0 for any
-    disconnected graph.
+    works; fixing one keeps runs deterministic) and evaluates the minor by
+    fraction-free elimination on its upper triangle. Returns 1 for a single
+    vertex and 0 for any disconnected graph.
     """
     n = g.vertex_count
     if n < 1:
         raise ValueError("graph must have at least one vertex")
     if n == 1:
         return 1
-    minor = [[0] * (n - 1) for _ in range(n - 1)]
+    size = n - 1
+    m = [[0] * size for _ in range(size)]
     for v in range(1, n):
-        minor[v - 1][v - 1] = g.degree(v)
+        row = m[v - 1]
+        row[v - 1] = g.degree(v)
         for u in g.neighbors(v):
-            if u < n:
-                minor[v - 1][u - 1] = -1
-    return bareiss_determinant(minor)
+            if v < u < n:
+                row[u - 1] = -1
+    # Bareiss without row swaps. Each step keeps the minor symmetric, so
+    # only the entries with c >= r are computed, and the pivot row's entry
+    # top[r] stands in for row[col]. The minor is positive semidefinite.
+    # Until the first zero pivot every pivot is a positive leading principal
+    # minor, and the remaining block is that minor times the PSD Schur
+    # complement. A zero diagonal entry of a PSD matrix means its whole row
+    # is zero, so a zero pivot means the determinant is 0: this is how a
+    # disconnected graph returns 0.
+    prev = 1
+    for col in range(size - 1):
+        top = m[col]
+        pivot = top[col]
+        if pivot == 0:
+            return 0
+        for r in range(col + 1, size):
+            row = m[r]
+            head = top[r]
+            for c in range(r, size):
+                row[c] = (row[c] * pivot - head * top[c]) // prev
+        prev = pivot
+    return m[-1][-1]
 
 
 def cst_matrix(problem: Problem):

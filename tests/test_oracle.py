@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
@@ -23,7 +25,17 @@ from kncomp.oracle import (
     random_qt_graph,
     rational_determinant,
 )
-from kncomp.qt_engine import recognize_and_build_cent_tree
+from kncomp.qt_engine import count_kn_minus_qt, recognize_and_build_cent_tree
+from kncomp.tree_engine import count_kn_minus_tree
+
+
+def laplacian_minor(g: Graph):
+    """The full Laplacian of g less its last row and column."""
+    n = g.vertex_count
+    return [
+        [g.degree(v) if u == v else -int(g.has_edge(v, u)) for u in range(1, n)]
+        for v in range(1, n)
+    ]
 
 
 def test_kirchhoff_small_cases():
@@ -31,9 +43,32 @@ def test_kirchhoff_small_cases():
     assert kirchhoff_count(cycle_graph(4)) == 4
     assert kirchhoff_count(Graph(1)) == 1
     assert kirchhoff_count(Graph(3, [(1, 2)])) == 0  # disconnected
+    # Zero pivots at the first step (vertex 1 isolated) and at a later step,
+    # each also with steps left after it, where going on would divide by
+    # the zero pivot; and the 1x1 zero minor.
+    assert kirchhoff_count(Graph(3, [(2, 3)])) == 0
+    assert kirchhoff_count(Graph(4, [(2, 3), (3, 4)])) == 0
+    assert kirchhoff_count(Graph(4, [(1, 2), (3, 4)])) == 0
+    assert kirchhoff_count(Graph(5, [(1, 2), (3, 4), (4, 5)])) == 0
+    assert kirchhoff_count(Graph(2)) == 0
     k4_minus_p3 = Graph(4, [(1, 3), (1, 4), (2, 4), (3, 4)])
     assert kirchhoff_count(k4_minus_p3) == 3
     assert enumerate_count(k4_minus_p3) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 25), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_kirchhoff_matches_bareiss_of_the_full_minor(k, edge_prob, seed):
+    g = random_graph(k, random.Random(seed), edge_prob)
+    assert kirchhoff_count(g) == bareiss_determinant(laplacian_minor(g))
+
+
+def test_kirchhoff_matches_the_engines_on_large_entries():
+    # n = 150: the eliminated entries grow to about 300 digits.
+    tree = Problem(150, random_labeled_tree(20, 5))
+    assert kirchhoff_count(complement_in_host(tree)) == count_kn_minus_tree(tree)
+    qt = Problem(150, random_qt_graph(8, 4, 11))
+    assert kirchhoff_count(complement_in_host(qt)) == count_kn_minus_qt(qt)
 
 
 def test_cst_matrix_shape_and_entries():
