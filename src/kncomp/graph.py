@@ -13,7 +13,9 @@ line scan alone decides what is accepted and what each error says.
 
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 
 __all__ = [
     "Graph",
@@ -34,10 +36,12 @@ MAX_VERTEX_COUNT = 10**7
 # beyond CPython's limit on the digits of an int conversion.
 _CANONICAL_HEADER = re.compile(r"[1-9][0-9]{0,7} (?:0|[1-9][0-9]{0,13})")
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
-# The bulk parse checks and splits the body this many characters at a time,
-# cut at a newline. Neither the tokens nor the matcher's stack, which grows
-# with the lines it matches (16 MB for 90,000 lines), then scale with the file.
-_CHUNK_CHARS = 1 << 16
+# The bulk parse checks and splits the lines after the header this many
+# characters at a time, cut at a newline. Neither the tokens nor the matcher's
+# stack, which grows by about 180 bytes for each line it matches (16 MB for
+# 90,000 lines, 0.35 MB for a 16 KiB window of 1,860 lines), then scale with
+# the file.
+_CHUNK_CHARS = 1 << 14
 
 
 class EdgeListParseError(ValueError):
@@ -70,24 +74,36 @@ class Graph:
             adj[v].append(u)
         self._freeze(vertex_count, adj)
 
-    def _freeze(self, vertex_count: int, adj: list) -> None:
-        """Take the neighbor lists `adj` (index 0 unused), sorting them in place.
+    def _freeze(self, vertex_count: int, adj) -> None:
+        """Take the neighbor lists `adj`: a list indexed by vertex (index 0
+        unused), or a dict of only the vertices that have neighbors, the rest
+        sharing the empty tuple. Each list is sorted and replaced by its
+        tuple in place, so the lists and the tuples never coexist.
 
         A duplicate edge (u, v) shows as a repeated neighbor in the sorted
         list of u, and a loop (v, v) as v twice in the list of v; scanning u
         upward meets either first at u = min(u, v) and raises ValueError.
         """
-        for ns in adj:
+        sparse = isinstance(adj, dict)
+        for u, ns in adj.items() if sparse else enumerate(adj):
             ns.sort()
-        # From a list: tuple() of a generator grows its result step by step,
-        # which leaves a long-running caller with a larger heap.
-        self._adj = tuple([tuple(ns) for ns in adj])
-        for u, ns in enumerate(self._adj):
-            if len(set(ns)) != len(ns):
-                v = next(w for w, x in zip(ns, ns[1:]) if w == x)
-                raise ValueError(f"duplicate edge {(u, v)}")
+            adj[u] = tuple(ns)
+        if sparse:
+            # map() gives tuple() no length, so its result grows in steps of
+            # a quarter; but no list of all the vertices is made, which for a
+            # header such as "10000000 0" would be as large as the graph.
+            self._adj = tuple(map(adj.get, range(vertex_count + 1), repeat(())))
+            adj = adj.values()
+        else:
+            # From a list, tuple() allocates its result once.
+            self._adj = tuple(adj)
+        degree_sum = sum(map(len, adj))
+        if sum(map(len, map(set, adj))) != degree_sum:
+            u, ns = next((u, ns) for u, ns in enumerate(self._adj) if len(set(ns)) != len(ns))
+            v = next(w for w, x in zip(ns, ns[1:]) if w == x)
+            raise ValueError(f"duplicate edge {(u, v)}")
         self.vertex_count = vertex_count
-        self.edge_count = sum(map(len, self._adj)) // 2
+        self.edge_count = degree_sum // 2
 
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
@@ -133,30 +149,40 @@ def parse_edge_list(text: str) -> Graph:
 
 def _parse_canonical(text: str) -> Graph | None:
     """The Graph of canonical text, read in bulk; None for any other text
-    and for canonical text that fails a check, which the line scan reports."""
-    header, _, body = text.partition("\n")
-    if not _CANONICAL_HEADER.fullmatch(header):
+    and for canonical text that fails a check, which the line scan reports.
+
+    Reads `text` in place: only the header and one window at a time are
+    copied, so the peak is about the text plus the graph.
+    """
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    if not _CANONICAL_HEADER.fullmatch(text, 0, end):
         return None
-    k, m = map(int, header.split(" "))
-    if k > MAX_VERTEX_COUNT or body.count("\n") != m:
+    k, m = map(int, text[:end].split(" "))
+    start = end + 1
+    if k > MAX_VERTEX_COUNT or text.count("\n", start) != m:
         return None
     # Endpoints come from a table of the names of 1..k, which also checks
     # their range. When k <= 2m the text, at least 4m characters, is larger
-    # than the table; a larger k, such as a header "10000000 1", takes int()
-    # and a range check instead.
-    table = {str(v): v for v in range(1, k + 1)} if k <= 2 * m else None
-    adj = [[] for _ in range(k + 1)]
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + _CHUNK_CHARS) + 1 or len(body)
-        chunk = body[start:end]
-        start = end
-        if not _CANONICAL_LINES.fullmatch(chunk):
+    # than the table and than a neighbor list per vertex; a larger k, such
+    # as a header "10000000 1", takes int() and a range check instead, and
+    # lists for the vertices that an edge touches only.
+    if k <= 2 * m:
+        table = {str(v): v for v in range(1, k + 1)}
+        adj = [[] for _ in range(k + 1)]
+    else:
+        table = None
+        adj = defaultdict(list)
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        if not _CANONICAL_LINES.fullmatch(text, start, end):
             return None
-        tokens = chunk.split()
+        tokens = text[start:end].split()
+        start = end
         if table is not None:
             try:
-                # A chunk holds at least one line, so at least two tokens,
+                # A window holds at least one line, so at least two tokens,
                 # and itemgetter returns a tuple.
                 values = operator.itemgetter(*tokens)(table)
             except KeyError:

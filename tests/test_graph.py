@@ -148,6 +148,58 @@ def test_bulk_parse_reports_a_late_bad_line(last_line, fragment):
     assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
 
 
+@pytest.mark.parametrize("text", ["3 0", "3 0\n", "3 0\n\n", "3 1", "3 2 1 2 2 3", "12 0 "])
+def test_header_line_texts_agree_with_the_line_scan(text):
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+
+def _one_window_of_path_lines() -> list:
+    """Lines "u u+1" of a path, just enough that their last newline is the
+    first one at least _CHUNK_CHARS characters after the header: they end
+    exactly at the first window boundary."""
+    lines, size = [], 0
+    while size <= graph._CHUNK_CHARS:
+        u = len(lines) + 1
+        lines.append(f"{u} {u + 1}\n")
+        size += len(lines[-1])
+    return lines
+
+
+# Endpoints come from the name table when k <= 2m, from int() when k > 2m.
+VERTEX_COUNT_SCALES = pytest.mark.parametrize("scale", [1, 10], ids=["table", "int"])
+
+
+@VERTEX_COUNT_SCALES
+def test_a_header_and_one_full_window_parse_in_bulk(scale):
+    lines = _one_window_of_path_lines()
+    header = f"{scale * (len(lines) + 1)} {len(lines)}\n"
+    text = header + "".join(lines)
+    assert text.find("\n", len(header) + graph._CHUNK_CHARS) == len(text) - 1
+    g = graph._parse_canonical(text)
+    assert g is not None
+    assert g == graph._parse_lines(text)
+
+
+@VERTEX_COUNT_SCALES
+@pytest.mark.parametrize(
+    "bad_line, fragment",
+    [("2 1", "duplicate edge (1, 2)"), ("1 99999999", "out of range"), ("7 7", "loop")],
+)
+def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
+    lines = _one_window_of_path_lines()
+    k = scale * (len(lines) + 2)
+    rest = [f"{bad_line}\n", f"{k - 1} {k}\n"]
+    header = f"{k} {len(lines) + len(rest)}\n"
+    text = header + "".join(lines + rest)
+    boundary = text.find("\n", len(header) + graph._CHUNK_CHARS) + 1
+    assert text.startswith(f"{bad_line}\n", boundary)
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_list(text)
+    assert err.value.line_no == len(lines) + 2
+    assert fragment in str(err.value)
+    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -185,6 +237,36 @@ def test_bulk_parse_memory_does_not_grow_with_the_line_count():
     # time, would take over 8 MB, about as much as the line scan's 10 MB.
     text = serialize_edge_list(Graph(300, list(combinations(range(1, 301), 2))))
     assert traced_peak(parse_edge_list, text) < traced_peak(graph._parse_lines, text) / 2
+
+
+def traced_beyond_the_graph(text) -> int:
+    """Peak bytes traced while parse_edge_list reads `text`, less those of
+    the Graph it returns."""
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)  # noqa: F841 -- held while the size is read
+        retained, peak = tracemalloc.get_traced_memory()
+        return peak - retained
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k", [300, 600])
+def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
+    # K_600 has four times the 44,850 lines of K_300. Beyond the graph the
+    # parse holds the name table, one window's tokens and matcher stack and
+    # the slack of the growing neighbor lists, about 0.6 and 0.9 MiB. A copy
+    # of the lines, all neighbor lists held beside their tuples, or 64 KiB
+    # windows each take K_600 over 1 MiB; the last takes K_300 too.
+    text = serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2))))
+    assert traced_beyond_the_graph(text) < 2**20
+
+
+@pytest.mark.parametrize("text", ["200000 0", "200000 2\n1 200000\n5 7\n"])
+def test_a_huge_header_allocates_about_the_graph(text):
+    # The graph is one pointer per vertex, 1.5 MiB; a list per vertex would
+    # take over 10 MiB more.
+    assert traced_beyond_the_graph(text) < 2**20
 
 
 def test_graph_rejects_bad_edges():
