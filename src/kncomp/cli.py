@@ -200,7 +200,7 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
     used = "csplit" if method != "qt" and ct.is_complete_split else "qt"
     if method == "csplit" and used != "csplit":
         raise PreconditionError(not_csplit)
-    return qt_engine.count_cent_tree(ct, problem.n), used, None
+    return qt_engine.count_layout(ct.parents, ct.mults, problem.n), used, None
 
 
 def _run_csplit(method: str, n: int, size_k: int, size_s: int) -> tuple[int, str, None]:
@@ -279,29 +279,9 @@ def _bench_instance(family: str, size: int, seed: int) -> Graph:
     raise CliError(f"unknown family {family!r}")
 
 
-def _tree_tau_in_field(h: Graph, n: int, field):
-    dec = tree_engine.st_decompose(h)
-    values = tree_engine.st_function(dec, n, field)
-    total = field.ipow(n, n - 2 if n >= 2 else 0)
-    for t in range(1, dec.vertex_count + 1):
-        total = field.mul(total, values[t])
-    return total
-
-
-def _qt_tau_in_field(h: Graph, n: int, field):
-    ct = qt_engine.recognize_and_build_cent_tree(h)
-    values = qt_engine.cent_function(ct, n, field)
-    total = field.ipow(n, n + ct.node_count - ct.vertex_count - 2)
-    for i in range(1, ct.node_count + 1):
-        node = ct.nodes[i]
-        coeff = node.multiplicity * (n - node.degree - 1) ** (node.multiplicity - 1)
-        total = field.mul(total, field.from_int(coeff))
-        total = field.mul(total, values.phi[ct.labels[i]])
-    return total
-
-
 def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, int]:
-    """Time one engine run (decomposition + recursion + product) and report
+    """Time one engine run (decomposition + recursion + product, as
+    `tree_engine.st_tau` or `qt_engine.cent_tau`) and report
     (milliseconds, field multiply/divide operations). The instance build is
     excluded from the timing.
 
@@ -311,13 +291,15 @@ def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, i
     """
     h = _bench_instance(family, size, seed)
     n = h.vertex_count
-    runner = _qt_tau_in_field if family == "random-qt" else _tree_tau_in_field
     if mod_p:
         field = PrimeField(random_prime(rng=random.Random(seed ^ size)))
     else:
         field = ExactField()
     start = time.perf_counter()
-    runner(h, n, field)
+    if family == "random-qt":
+        qt_engine.cent_tau(qt_engine.recognize_and_build_cent_tree(h), n, field)
+    else:
+        tree_engine.st_tau(h, n, field)
     return (time.perf_counter() - start) * 1000.0, field.ops
 
 

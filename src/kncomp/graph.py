@@ -163,17 +163,11 @@ def _parse_canonical(text: str) -> Graph | None:
     start = end + 1
     if k > MAX_VERTEX_COUNT or text.count("\n", start) != m:
         return None
-    # Endpoints come from a table of the names of 1..k, which also checks
-    # their range. When k <= 2m the text, at least 4m characters, is larger
-    # than the table and than a neighbor list per vertex; a larger k, such
-    # as a header "10000000 1", takes int() and a range check instead, and
-    # lists for the vertices that an edge touches only.
-    if k <= 2 * m:
-        table = {str(v): v for v in range(1, k + 1)}
-        adj = [[] for _ in range(k + 1)]
-    else:
-        table = None
-        adj = defaultdict(list)
+    # Where `_adjacency` gives a list per vertex the text is also larger
+    # than a table of the names of 1..k, so endpoints come from one, which
+    # also checks their range; otherwise they take int() and a range check.
+    adj = _adjacency(k, m)
+    table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else None
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
         if not _CANONICAL_LINES.fullmatch(text, start, end):
@@ -203,6 +197,16 @@ def _parse_canonical(text: str) -> Graph | None:
     return g
 
 
+def _adjacency(k: int, m: int):
+    """Empty neighbor lists for `Graph._freeze` of k vertices and m edges.
+
+    When k <= 2m the text, at least 4m characters, is larger than a list per
+    vertex; a larger k, such as a header "10000000 1", gets a dict that
+    lists the vertices an edge touches only.
+    """
+    return [[] for _ in range(k + 1)] if k <= 2 * m else defaultdict(list)
+
+
 def _parse_lines(text: str) -> Graph:
     """The line scan behind parse_edge_list: accepts any whitespace and
     reports the first malformed line."""
@@ -227,7 +231,6 @@ def _parse_lines(text: str) -> Graph:
     if m < 0:
         raise EdgeListParseError(1, f"negative edge count {m}")
 
-    edges = []
     seen = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -247,12 +250,18 @@ def _parse_lines(text: str) -> Graph:
         if key in seen:
             raise EdgeListParseError(line_no, f"duplicate edge {key}")
         seen.add(key)
-        edges.append(key)
-    if len(edges) != m:
+    if len(seen) != m:
         raise EdgeListParseError(
-            len(lines), f"header promised {m} edges, found {len(edges)}"
+            len(lines), f"header promised {m} edges, found {len(seen)}"
         )
-    return Graph(k, edges)
+    # Built only once m is checked, so a header cannot size it alone.
+    adj = _adjacency(k, m)
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = Graph.__new__(Graph)
+    g._freeze(k, adj)
+    return g
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -8,13 +8,19 @@ adjacent in Q exactly when their nodes coincide or sit on one root-to-leaf
 chain. This decomposition exists (and the peeling succeeds) precisely for
 quasi-threshold graphs, so the builder doubles as the recognizer.
 
+The node tree is held as a node layout (`CentTree`): node i = 1..k has
+parent parents[i] (0 for the root, node 1), multiplicity mults[i] and
+member vertices members[i], with entry 0 of each list unused. Node ids
+follow discovery order, so every parent precedes its children. The same
+layout feeds `oracle.graph_from_cent_layout` and `random_cent_layout`.
+
 Every count is tau(K_n - Q) = n^(n-p-2) * det(n*I_p - L(Q)) for the
 p-vertex graph Q. Quasi-threshold graphs are cographs, whose Laplacian
 spectra are integral (Merris 1998). With A_i the number of vertices above
 node i, s_i the number in its subtree and p_i its multiplicity, an
 internal node contributes p_i eigenvalues A_i + s_i and (children - 1)
 eigenvalues A_i + p_i, a leaf p_i - 1 eigenvalues A_i + p_i, and one
-eigenvalue is 0, so `count_kn_minus_qt` returns, in integers and without
+eigenvalue is 0, so `count_layout` returns, in integers and without
 pivots,
 
     tau(K_n - Q) = n^(n-p-1) * prod((n - mu)^mult over the nonzero spectrum).
@@ -27,9 +33,10 @@ tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|, which
 `count_kn_minus_csplit` evaluates from the sizes alone.
 
 The paper's rational recursion `cent_function`, which `bench` and the
-acceptance checks run, numbers the k nodes so that children always precede
-parents (leaf-peel levels of the node tree), writes b = 1/n and, for node i
-with multiplicity p_i and member degree d_i,
+acceptance checks run, evaluates children before parents (descending node
+id; the paper's leaf-peel numbering is another such order, and no value
+depends on which). It writes b = 1/n and, for node i with multiplicity
+p_i and member degree d_i = A_i + s_i - 1,
 
     a_i     = 1 - d_i * b
     sigma_i = (a_i + (p_i - 1) * b) / p_i.
@@ -45,7 +52,7 @@ parent-child coupling b'_i:
 
     phi_i = a'_i - sum(b'_j ** 2 / phi_j for children j)
 
-and the count assembles as
+and `cent_tau` assembles the count as
 
     tau(K_n - Q) = n^(n+k-p-2) * prod(p_i * (n - d_i - 1)^(p_i - 1) * phi_i).
 """
@@ -58,12 +65,12 @@ from .graph import Graph, Problem, check_host_size, is_connected
 
 __all__ = [
     "NotQuasiThresholdError",
-    "CentNode",
     "CentTree",
     "recognize_and_build_cent_tree",
     "CentFunctionValues",
     "cent_function",
-    "count_cent_tree",
+    "cent_tau",
+    "count_layout",
     "count_kn_minus_qt",
     "count_kn_minus_csplit",
 ]
@@ -81,44 +88,32 @@ class NotQuasiThresholdError(ValueError):
 
 
 @dataclass
-class CentNode:
-    """One node of the decomposition; `degree` is the degree in Q shared by
-    every member vertex."""
-
-    members: tuple
-    parent: int  # parent node id, 0 for the root
-    children: tuple
-    degree: int
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members)
-
-
-@dataclass
 class CentTree:
-    """Universal-vertex decomposition of a connected quasi-threshold graph.
+    """Universal-vertex decomposition of a connected quasi-threshold graph,
+    as a node layout; every list is indexed by node id, entry 0 unused.
 
-    Node ids follow discovery order (root is node 1, then breadth-first
-    with sibling pieces ordered by smallest member vertex). Labels follow
-    leaf-peel levels of the node tree, ties in id order, so children always
-    carry smaller labels than their parent and the root carries label k.
+    Node ids follow discovery order: the root is node 1, then breadth-first
+    with sibling pieces ordered by smallest member vertex.
     """
 
-    vertex_count: int
-    nodes: list  # nodes[0] unused; node id i -> nodes[i]
-    labels: list  # labels[node_id] -> 1..k  ([0] unused)
-    order: list  # order[label] -> node_id  ([0] unused)
+    parents: list  # parent node id, 0 for the root
+    mults: list  # multiplicity: the number of member vertices
+    members: list  # member vertices, ascending
+
+    @property
+    def vertex_count(self) -> int:
+        return sum(self.mults)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes) - 1
+        return len(self.parents) - 1
 
     @property
     def is_complete_split(self) -> bool:
         """True when the graph is complete split: every node other than the
-        root is a leaf holding one vertex (or the root is the only node)."""
-        return all(not node.children and node.multiplicity == 1 for node in self.nodes[2:])
+        root is a child of the root holding one vertex (or the root is the
+        only node)."""
+        return all(p == 1 and m == 1 for p, m in zip(self.parents[2:], self.mults[2:]))
 
 
 def recognize_and_build_cent_tree(q: Graph) -> CentTree:
@@ -146,8 +141,7 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     for v in q.vertices():
         inner_deg[v] = q.degree(v)
 
-    members_by_node = [()]
-    parents = [0]
+    ct = CentTree([0], [0], [()])
     queue = deque([(list(q.vertices()), 0)])
     while queue:
         piece, parent = queue.popleft()
@@ -160,44 +154,16 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
                     "(count disconnected subtrahends with a determinant oracle)"
                 )
             raise NotQuasiThresholdError(piece)
-        members_by_node.append(cent)
-        parents.append(parent)
-        node_id = len(members_by_node) - 1
+        ct.parents.append(parent)
+        ct.mults.append(len(cent))
+        ct.members.append(cent)
         if len(cent) == size:
             continue
         rest = set(piece).difference(cent)
         for v in rest:
             inner_deg[v] -= len(cent)
-        queue.extend((part, node_id) for part in _pieces(q, rest, inner_deg))
-
-    k = len(members_by_node) - 1
-    children = [[] for _ in range(k + 1)]
-    for i in range(2, k + 1):
-        children[parents[i]].append(i)
-
-    nodes = [None]
-    for i in range(1, k + 1):
-        mem = members_by_node[i]
-        nodes.append(
-            CentNode(
-                members=mem,
-                parent=parents[i],
-                children=tuple(children[i]),
-                degree=q.degree(mem[0]),
-            )
-        )
-
-    # Leaf-peel level = height in the node tree; children are always
-    # created after their parent, so one reverse sweep suffices.
-    height = [0] * (k + 1)
-    for i in range(k, 1, -1):
-        height[parents[i]] = max(height[parents[i]], height[i] + 1)
-    order = [0] + sorted(range(1, k + 1), key=height.__getitem__)
-    labels = [0] * (k + 1)
-    for label, i in enumerate(order):
-        labels[i] = label
-
-    return CentTree(p, nodes, labels, order)
+        queue.extend((part, ct.node_count) for part in _pieces(q, rest, inner_deg))
+    return ct
 
 
 def _pieces(q: Graph, rest: set, inner_deg: list) -> list:
@@ -233,18 +199,33 @@ def _pieces(q: Graph, rest: set, inner_deg: list) -> list:
     return parts
 
 
+def _shape(parents, mults) -> tuple:
+    """(children, above, mass) of a node layout, each indexed by node id:
+    children[i] lists node i's children ascending, above[i] is A_i and
+    mass[i] is s_i. Entry 0 of both arguments must be 0."""
+    k = len(parents) - 1
+    children = [[] for _ in range(k + 1)]
+    above = [0] * (k + 1)
+    for i in range(2, k + 1):
+        j = parents[i]
+        children[j].append(i)
+        above[i] = above[j] + mults[j]
+    mass = list(mults)
+    for i in range(k, 1, -1):
+        mass[parents[i]] += mass[i]
+    return children, above, mass
+
+
 @dataclass
 class CentFunctionValues:
-    """Per-node recursion values, indexed by node label (entry 0 unused)."""
+    """Per-node recursion values, indexed by node id (entry 0 unused)."""
 
     sigma: list
-    a_adj: list
-    b_adj: list
     phi: list
 
 
 def cent_function(ct: CentTree, n: int, field=None) -> CentFunctionValues:
-    """Evaluate sigma, a', b', phi in ascending node-label order.
+    """Evaluate sigma, a', b', phi children first, in descending node id.
 
     Raises ZeroDivisionError when some phi_j = 0 is hit in a denominator,
     and ValueError when n < p.
@@ -255,71 +236,65 @@ def cent_function(ct: CentTree, n: int, field=None) -> CentFunctionValues:
     one = f.from_int(1)
     b = f.div(one, f.from_int(n))
     two_b = f.add(b, b)
+    children, above, mass = _shape(ct.parents, ct.mults)
     k = ct.node_count
     sigma = [None] * (k + 1)
-    a_adj = [None] * (k + 1)
     b_adj = [None] * (k + 1)
     phi = [None] * (k + 1)
-    for t in range(1, k + 1):
-        node = ct.nodes[ct.order[t]]
-        p_i = node.multiplicity
-        a = f.sub(one, f.mul(f.from_int(node.degree), b))
+    for i in range(k, 0, -1):
+        p_i = ct.mults[i]
+        a = f.sub(one, f.mul(f.from_int(above[i] + mass[i] - 1), b))
         if p_i == 1:
             s = a
         else:
             s = f.div(f.add(a, f.mul(f.from_int(p_i - 1), b)), f.from_int(p_i))
-        sigma[t] = s
-        if not node.children:
-            a_adj[t] = s
-            b_adj[t] = b
-            phi[t] = s
+        sigma[i] = s
+        if not children[i]:
+            b_adj[i] = b
+            phi[i] = s
             continue
-        aa = s
-        for c in node.children:
-            if ct.nodes[c].children:
-                aa = f.add(aa, f.sub(sigma[ct.labels[c]], two_b))
-        a_adj[t] = aa
-        b_adj[t] = f.sub(b, s)
-        ph = aa
-        for c in node.children:
-            tc = ct.labels[c]
-            bj = b_adj[tc]
-            ph = f.sub(ph, f.div(f.mul(bj, bj), phi[tc]))
-        phi[t] = ph
-    return CentFunctionValues(sigma, a_adj, b_adj, phi)
+        ph = s  # a'_i, then phi_i
+        for c in children[i]:
+            if children[c]:
+                ph = f.add(ph, f.sub(sigma[c], two_b))
+        for c in children[i]:
+            ph = f.sub(ph, f.div(f.mul(b_adj[c], b_adj[c]), phi[c]))
+        b_adj[i] = f.sub(b, s)
+        phi[i] = ph
+    return CentFunctionValues(sigma, phi)
 
 
-def _layout_count(parents, mults, n: int) -> int:
+def cent_tau(ct: CentTree, n: int, field=None):
+    """tau(K_n - Q) from `cent_function` as the paper assembles it,
+    n^(n+k-p-2) * prod(p_i * (n - d_i - 1)^(p_i - 1) * phi_i), as an element
+    of `field` (exact rationals by default)."""
+    f = field if field is not None else ExactField()
+    phi = cent_function(ct, n, f).phi
+    _, above, mass = _shape(ct.parents, ct.mults)
+    total = f.ipow(n, n + ct.node_count - ct.vertex_count - 2)
+    for i in range(1, ct.node_count + 1):
+        p_i = ct.mults[i]
+        total = f.mul(total, f.from_int(p_i * (n - above[i] - mass[i]) ** (p_i - 1)))
+        total = f.mul(total, phi[i])
+    return total
+
+
+def count_layout(parents, mults, n: int) -> int:
     """Exact tau(K_n - Q) from the Laplacian spectrum of Q's node tree.
 
     Node i = 1..k has parent parents[i] (root 1 has parent 0, parents come
     before children) and multiplicity mults[i]; both lists hold 0 at index 0.
     A leaf is a node with no children and s_i = p_i, so one rule serves both.
     """
-    k = len(parents) - 1
-    mass = list(mults)
-    children = [0] * (k + 1)
-    for i in range(k, 1, -1):
-        mass[parents[i]] += mass[i]
-        children[parents[i]] += 1
-    above = [0] * (k + 1)
+    children, above, mass = _shape(parents, mults)
     spectrum = Counter()
-    for i in range(1, k + 1):
-        above[i] = above[parents[i]] + mults[parents[i]]
+    for i in range(1, len(parents)):
         spectrum[above[i] + mass[i]] += mults[i]
-        spectrum[above[i] + mults[i]] += children[i] - 1
+        spectrum[above[i] + mults[i]] += len(children[i]) - 1
     det = n  # the eigenvalue 0
     for mu, mult in spectrum.items():
         det *= (n - mu) ** mult
     return tau_from_determinant(n, mass[1], det)
-
-
-def count_cent_tree(ct: CentTree, n: int) -> int:
-    """Exact tau(K_n - Q) for the quasi-threshold graph Q with node tree ct."""
-    nodes = ct.nodes[1:]
-    parents = [0] + [node.parent for node in nodes]
-    mults = [0] + [node.multiplicity for node in nodes]
-    return _layout_count(parents, mults, n)
 
 
 def count_kn_minus_qt(problem: Problem) -> int:
@@ -328,7 +303,8 @@ def count_kn_minus_qt(problem: Problem) -> int:
     Raises NotQuasiThresholdError when Q is not quasi-threshold and
     ValueError when Q is disconnected.
     """
-    return count_cent_tree(recognize_and_build_cent_tree(problem.h), problem.n)
+    ct = recognize_and_build_cent_tree(problem.h)
+    return count_layout(ct.parents, ct.mults, problem.n)
 
 
 def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
@@ -339,4 +315,4 @@ def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
     if size_s < 0:
         raise ValueError(f"negative independent-part size {size_s}")
     check_host_size(n, size_k + size_s)
-    return _layout_count([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s, n)
+    return count_layout([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s, n)

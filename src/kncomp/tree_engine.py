@@ -27,10 +27,11 @@ a_i = 1 - d_i*b, the pivots
 
     L(i) = a_i - b^2 * sum(1 / L(j) for j in ch(i))
 
-satisfy n * L(v) = D(v) / F(v), so tau(K_n - T) = n^(n-2) * L(1) * ... * L(k).
-It runs in any field (exact rationals or a prime field), which `bench` and
-the linear-work checks use. A zero L(j) is legal as a final value but
-cannot appear in a denominator; that case raises ZeroDivisionError.
+satisfy n * L(v) = D(v) / F(v), so tau(K_n - T) = n^(n-2) * L(1) * ... * L(k),
+which `st_tau` assembles. Both run in any field (exact rationals or a prime
+field), which `bench` and the linear-work checks use. A zero L(j) is legal
+as a final value but cannot appear in a denominator; that case raises
+ZeroDivisionError.
 """
 
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ __all__ = [
     "StDecomposition",
     "st_decompose",
     "st_function",
+    "st_tau",
     "count_kn_minus_tree",
 ]
 
@@ -147,6 +149,16 @@ def st_function(dec: StDecomposition, n: int, field=None) -> list:
             val = f.sub(val, f.div(b2, values[labels[u]]))
         values[t] = val
     return values
+
+
+def st_tau(t: Graph, n: int, field=None):
+    """tau(K_n - T) = n^(n-2) * L(1) * ... * L(k) from `st_function`, as an
+    element of `field` (exact rationals by default)."""
+    f = field if field is not None else ExactField()
+    total = f.ipow(n, n - 2)
+    for value in st_function(st_decompose(t), n, f)[1:]:
+        total = f.mul(total, value)
+    return total
 
 
 def count_kn_minus_tree(problem: Problem) -> int:

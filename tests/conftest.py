@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 from kncomp.graph import Graph
 from kncomp.oracle import graph_from_cent_layout
+from kncomp.qt_engine import _shape
 
 
 def relabel(g: Graph, perm: dict) -> Graph:
@@ -16,20 +18,21 @@ def random_permutation(k: int, rng: random.Random) -> dict:
 
 
 def check_node_tree(ct, q: Graph):
-    """Assert that node tree `ct` expands back to q, with children labeled
-    before their parent and no internal node with a single child."""
-    nodes = ct.nodes[1:]
-    expanded = graph_from_cent_layout(
-        [0] + [node.parent for node in nodes], [0] + [node.multiplicity for node in nodes]
-    )
-    members = [v for node in nodes for v in node.members]
+    """Assert that node tree `ct` expands back to q, with each parent before
+    its children, no internal node with a single child, and every member's
+    degree equal to A_i + s_i - 1."""
+    expanded = graph_from_cent_layout(ct.parents, ct.mults)
+    members = [v for mem in ct.members for v in mem]
     assert sorted(members) == list(q.vertices()), "members must partition V(Q)"
+    assert ct.mults == list(map(len, ct.members))
     perm = dict(zip(range(1, len(members) + 1), members))
     assert relabel(expanded, perm) == q, "expansion must reproduce the input"
-    assert ct.labels[1] == ct.node_count, "root must carry the last label"
-    for i, node in enumerate(nodes, start=1):
-        assert len(node.children) != 1, f"internal node {i} has a single child"
-        if node.parent:
-            assert ct.labels[i] < ct.labels[node.parent], (
-                "children must precede their parent in label order"
-            )
+    assert ct.parents[1] == 0, "node 1 must be the root"
+    assert all(ct.parents[i] < i for i in range(2, ct.node_count + 1)), (
+        "parents must precede their children"
+    )
+    child_counts = Counter(ct.parents[2:])
+    assert 1 not in child_counts.values(), "an internal node has a single child"
+    _, above, mass = _shape(ct.parents, ct.mults)
+    for i, mem in enumerate(ct.members[1:], start=1):
+        assert all(q.degree(v) == above[i] + mass[i] - 1 for v in mem)

@@ -147,17 +147,13 @@ def test_criterion_5_coupling_determinant_equals_phi_product():
         k = ct.node_count
         b = b_cache.setdefault(n, Fraction(1, n))
         ancestors = [set() for _ in range(k + 1)]
-        for i in range(1, k + 1):
-            j = ct.nodes[i].parent
-            while j:
-                ancestors[i].add(j)
-                j = ct.nodes[j].parent
+        for i in range(2, k + 1):
+            ancestors[i] = ancestors[ct.parents[i]] | {ct.parents[i]}
         rows = [[Fraction(0)] * k for _ in range(k)]
         for s in range(1, k + 1):
             rows[s - 1][s - 1] = vals.sigma[s]
             for t in range(s + 1, k + 1):
-                ns, nt = ct.order[s], ct.order[t]
-                if ns in ancestors[nt] or nt in ancestors[ns]:
+                if s in ancestors[t]:  # a parent precedes its children
                     rows[s - 1][t - 1] = b
                     rows[t - 1][s - 1] = b
         det = rational_determinant(rows)

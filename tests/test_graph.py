@@ -262,10 +262,14 @@ def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
     assert traced_beyond_the_graph(text) < 2**20
 
 
-@pytest.mark.parametrize("text", ["200000 0", "200000 2\n1 200000\n5 7\n"])
+@pytest.mark.parametrize(
+    "text",
+    ["200000 0", "200000 2\n1 200000\n5 7\n", "200000 0\r\n", "200000 2\r\n1 200000\r\n5 7\r\n"],
+)
 def test_a_huge_header_allocates_about_the_graph(text):
     # The graph is one pointer per vertex, 1.5 MiB; a list per vertex would
-    # take over 10 MiB more.
+    # take over 10 MiB more. The "\r\n" texts are not canonical, so the line
+    # scan reads them.
     assert traced_beyond_the_graph(text) < 2**20
 
 

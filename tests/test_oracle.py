@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -196,8 +197,7 @@ def test_random_qt_graph_is_recognizable_and_seeded():
     assert g1 == g2
     ct = recognize_and_build_cent_tree(g1)
     assert ct.vertex_count == g1.vertex_count
-    for i in range(1, ct.node_count + 1):
-        assert not ct.nodes[i].children or len(ct.nodes[i].children) >= 2
+    assert 1 not in Counter(ct.parents[2:]).values()  # no internal node has one child
 
 
 def test_builders():

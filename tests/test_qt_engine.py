@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_node_tree, random_permutation, relabel
+from kncomp.arith import PrimeField, random_prime
 from kncomp.graph import Graph, Problem, complement_in_host, is_connected
 from kncomp.oracle import (
     all_graphs,
@@ -25,9 +26,10 @@ from kncomp.oracle import (
 from kncomp.qt_engine import (
     NotQuasiThresholdError,
     cent_function,
-    count_cent_tree,
+    cent_tau,
     count_kn_minus_csplit,
     count_kn_minus_qt,
+    count_layout,
     recognize_and_build_cent_tree,
 )
 
@@ -59,10 +61,11 @@ def has_induced_p4_or_c4(g: Graph) -> bool:
 
 def test_complete_graph_is_a_single_node():
     for p in (1, 2, 5):
-        ct = recognize_and_build_cent_tree(complete_graph(p))
+        g = complete_graph(p)
+        ct = recognize_and_build_cent_tree(g)
         assert ct.node_count == 1
-        assert ct.nodes[1].multiplicity == p
-        assert ct.nodes[1].degree == p - 1
+        assert ct.members[1] == tuple(range(1, p + 1))
+        check_node_tree(ct, g)
 
 
 def test_p4_and_c4_are_rejected_with_witness():
@@ -83,11 +86,10 @@ def test_figure_like_graph_decomposition():
     ct = recognize_and_build_cent_tree(g)
     check_node_tree(ct, g)
     assert ct.node_count == 10
-    mults = [ct.nodes[i].multiplicity for i in range(1, 11)]
-    assert mults == [1, 1, 2, 1, 1, 1, 1, 1, 1, 2]
-    assert ct.nodes[3].members == (3, 4)
-    assert ct.nodes[10].members == (11, 12)
-    assert ct.nodes[3].degree == 4
+    assert ct.parents == [0, 0, 1, 1, 2, 2, 2, 3, 3, 4, 4]
+    assert ct.mults == [0, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2]
+    assert ct.members[3] == (3, 4)
+    assert ct.members[10] == (11, 12)
 
 
 def test_cent_function_on_complete_graph():
@@ -107,12 +109,11 @@ def test_cent_function_on_single_vertex():
 def test_cent_function_on_small_star():
     ct = recognize_and_build_cent_tree(STAR12)
     vals = cent_function(ct, 4)
-    root_label = ct.labels[1]
-    leaf_labels = [ct.labels[i] for i in (2, 3)]
-    assert vals.sigma[root_label] == Fraction(1, 2)
-    assert all(vals.sigma[t] == Fraction(3, 4) for t in leaf_labels)
-    assert all(vals.phi[t] == Fraction(3, 4) for t in leaf_labels)
-    assert vals.phi[root_label] == Fraction(1, 3)
+    assert ct.parents == [0, 0, 1, 1]  # the root holds the centre
+    assert vals.sigma[1] == Fraction(1, 2)
+    assert vals.sigma[2] == vals.sigma[3] == Fraction(3, 4)
+    assert vals.phi[2] == vals.phi[3] == Fraction(3, 4)
+    assert vals.phi[1] == Fraction(1, 3)
 
 
 def test_cent_function_rejects_small_host():
@@ -215,10 +216,10 @@ def test_many_pieces_are_split_in_linear_time():
     g = Graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)] + [(2, 3)])
     start = time.perf_counter()
     ct = recognize_and_build_cent_tree(g)
-    tau = count_cent_tree(ct, leaves + 1)
+    tau = count_layout(ct.parents, ct.mults, leaves + 1)
     assert time.perf_counter() - start < 2.0
     assert ct.node_count == leaves and not ct.is_complete_split
-    assert ct.nodes[2].members == (2, 3)
+    assert ct.members[2] == (2, 3)
     assert tau == 0  # n = p: the star's centre is isolated in K_n - H
 
 
@@ -267,7 +268,7 @@ def test_deep_node_trees_are_recognized_quickly():
     g = relabel(g, random_permutation(g.vertex_count, random.Random(400)))
     start = time.perf_counter()
     ct = recognize_and_build_cent_tree(g)
-    count_cent_tree(ct, g.vertex_count + 1)
+    count_layout(ct.parents, ct.mults, g.vertex_count + 1)
     assert time.perf_counter() - start < 0.5
     assert ct.node_count == 801
     check_node_tree(ct, g)
@@ -358,20 +359,6 @@ def test_random_qt_graphs_match_oracle():
             )
 
 
-def _paper_phi_product(g: Graph, n: int) -> int:
-    """tau(K_n - Q) = n^(n+k-p-2) * prod(p_i * (n - d_i - 1)^(p_i - 1) * phi_i),
-    in exact rationals."""
-    ct = recognize_and_build_cent_tree(g)
-    phi = cent_function(ct, n).phi
-    total = Fraction(n) ** (n + ct.node_count - ct.vertex_count - 2)
-    for i in range(1, ct.node_count + 1):
-        node = ct.nodes[i]
-        p_i = node.multiplicity
-        total *= p_i * Fraction(n - node.degree - 1) ** (p_i - 1) * phi[ct.labels[i]]
-    assert total.denominator == 1
-    return total.numerator
-
-
 def test_paper_phi_product_matches_count_and_oracle_exhaustively():
     checked = 0
     for p in range(1, 7):
@@ -385,7 +372,7 @@ def test_paper_phi_product_matches_count_and_oracle_exhaustively():
             for n in (p, p + 1, p + 3):
                 problem = Problem(n, g)
                 count = count_kn_minus_qt(problem)
-                assert _paper_phi_product(g, n) == count
+                assert cent_tau(recognize_and_build_cent_tree(g), n) == count
                 assert count == kirchhoff_count(complement_in_host(problem))
                 checked += 1
     assert checked == 3 * 2022  # connected labeled quasi-threshold graphs, p <= 6
@@ -399,8 +386,22 @@ def test_paper_phi_product_matches_count_on_random_layouts(max_nodes, seed, slac
     assume(g.vertex_count <= 10)
     problem = Problem(g.vertex_count + slack, g)
     count = count_kn_minus_qt(problem)
-    assert _paper_phi_product(g, problem.n) == count
+    assert cent_tau(recognize_and_build_cent_tree(g), problem.n) == count
     assert count == kirchhoff_count(complement_in_host(problem))
+
+
+def test_cent_tau_in_a_prime_field_is_the_count_residue():
+    # The paper's phi product, run modulo a random 62-bit prime, against the
+    # exact spectral count, on graphs far beyond the oracles' reach.
+    rng = random.Random(6262)
+    field = PrimeField(random_prime(rng=rng))
+    graphs = [random_qt_graph(rng.randint(1, 40), 3, rng.randint(0, 10**9)) for _ in range(200)]
+    graphs += [csplit_graph(size_k, size_s) for size_k in range(1, 6) for size_s in range(6)]
+    for g in graphs:
+        ct = recognize_and_build_cent_tree(g)
+        for n in (g.vertex_count + 1, g.vertex_count + 5):
+            count = count_kn_minus_qt(Problem(n, g))
+            assert cent_tau(ct, n, field) == count % field.modulus, (g.edges(), n)
 
 
 @given(st.integers(1, 10), st.integers(0, 10**6), st.integers(0, 10**6))
@@ -429,22 +430,18 @@ def test_block_determinant_identity_spot():
 
 def build_coupling_matrix(ct, sigma, n):
     """The node-level system: sigma on the diagonal, 1/n between every
-    ancestor/descendant pair, in label order."""
+    ancestor/descendant pair, in node-id order."""
     b = Fraction(1, n)
     k = ct.node_count
     ancestors = [set() for _ in range(k + 1)]
-    for i in range(1, k + 1):
-        j = ct.nodes[i].parent
-        while j:
-            ancestors[i].add(j)
-            j = ct.nodes[j].parent
+    for i in range(2, k + 1):
+        ancestors[i] = ancestors[ct.parents[i]] | {ct.parents[i]}
     rows = [[Fraction(0)] * k for _ in range(k)]
     for s in range(1, k + 1):
         for t in range(1, k + 1):
-            ns, nt = ct.order[s], ct.order[t]
             if s == t:
                 rows[s - 1][t - 1] = sigma[s]
-            elif ns in ancestors[nt] or nt in ancestors[ns]:
+            elif s in ancestors[t] or t in ancestors[s]:
                 rows[s - 1][t - 1] = b
     return rows
 

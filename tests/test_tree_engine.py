@@ -23,6 +23,7 @@ from kncomp.tree_engine import (
     count_kn_minus_tree,
     st_decompose,
     st_function,
+    st_tau,
 )
 
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -137,20 +138,18 @@ def test_large_tau_matches_the_pivot_product_mod_a_prime(make):
     tau = count_kn_minus_tree(Problem(n, t))
     assert 10**86011 <= tau < 10**86012
     field = PrimeField(random_prime(62, random.Random(k)))
-    q = field.modulus
-    expected = pow(n, n - 2, q)
-    for value in st_function(st_decompose(t), n, field)[1:]:
-        expected = expected * value % q
-    assert tau % q == expected
+    assert tau % field.modulus == st_tau(t, n, field)
 
 
-def _paper_pivot_product(t: Graph, n: int) -> int:
-    """tau(K_n - T) = n^(n-2) * L(1) * ... * L(k), in exact rationals."""
-    total = Fraction(n) ** (n - 2)
-    for value in st_function(st_decompose(t), n)[1:]:
-        total *= value
-    assert total.denominator == 1
-    return total.numerator
+def test_st_tau_in_a_prime_field_is_the_count_residue():
+    rng = random.Random(6363)
+    field = PrimeField(random_prime(rng=rng))
+    for _ in range(100):
+        k = rng.randint(1, 300)
+        t = random_labeled_tree(k, rng.randint(0, 10**9))
+        for n in (k + 1, k + 5):
+            count = count_kn_minus_tree(Problem(n, t))
+            assert st_tau(t, n, field) == count % field.modulus, (t.edges(), n)
 
 
 def test_paper_pivot_product_matches_count_and_oracle_exhaustively():
@@ -160,7 +159,7 @@ def test_paper_pivot_product_matches_count_and_oracle_exhaustively():
             for n in (k, k + 1, k + 3):
                 problem = Problem(n, t)
                 count = count_kn_minus_tree(problem)
-                assert _paper_pivot_product(t, n) == count
+                assert st_tau(t, n) == count
                 assert count == kirchhoff_count(complement_in_host(problem))
                 checked += 1
     assert checked == 54747
@@ -174,7 +173,7 @@ def test_paper_pivot_product_matches_count_on_random_trees(k, slack, seed):
     n = k + slack
     problem = Problem(n, t)
     count = count_kn_minus_tree(problem)
-    assert _paper_pivot_product(t, n) == count
+    assert st_tau(t, n) == count
     assert count == kirchhoff_count(complement_in_host(problem))
 
 
