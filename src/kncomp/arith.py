@@ -2,7 +2,9 @@
 
 Every count this package emits is an exact integer; `tau_from_determinant`
 is the one assembly step, n^(n-p-2) * det with an exact division when the
-exponent is negative.
+exponent is negative. `decimal_text` writes a count as text through exact
+`decimal` arithmetic, never through `int.__str__`: CPython's int-to-string
+digit limit does not apply, and long counts convert in subquadratic time.
 
 The paper's rational recursions run through a small "field" object so the
 same code serves exact and modular runs: ExactField works in
@@ -13,10 +15,12 @@ checks pivots: a zero denominator raises ZeroDivisionError. Modulo a random
 62-bit prime, a residue vanishes by accident with probability about k/2^62.
 """
 
+import decimal
 import random
 from fractions import Fraction
 
 __all__ = [
+    "decimal_text",
     "tau_from_determinant",
     "NonIntegerProductError",
     "ExactField",
@@ -27,6 +31,8 @@ __all__ = [
 ]
 
 MOD_PRIME_BITS = 62
+
+_PIECE_BITS = 4096  # decimal_text converts pieces this small (1,234 digits) directly
 
 
 class NonIntegerProductError(ArithmeticError):
@@ -45,6 +51,25 @@ def tau_from_determinant(n: int, p: int, det: int) -> int:
     if rest:
         raise NonIntegerProductError(f"det(n*I - L) is not divisible by {n}^{-exp}")
     return tau
+
+
+def decimal_text(x: int) -> str:
+    """str(x) at any length: x is halved by bits into pieces of at most _PIECE_BITS
+    bits, each converts directly, and they join as high * 2^half + low in an exact
+    context. The context and the powers of two are local to the call."""
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    powers = {}
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= _PIECE_BITS:
+            return decimal.Decimal(v)
+        half = bits // 2
+        if half not in powers:
+            powers[half] = ctx.power(2, half)
+        high, low = convert(v >> half, bits - half), convert(v & ((1 << half) - 1), half)
+        return ctx.fma(high, powers[half], low)
+
+    return str(convert(x, x.bit_length()))
 
 
 # Deterministic Miller-Rabin witness set for n < 2^64.

@@ -1,6 +1,6 @@
 """Command-line front end: count, verify, bench.
 
-Exit codes: 0 success, 1 input/validation errors, 2 method precondition
+Exit codes: 0 success, 1 input/validation/usage errors, 2 method precondition
 unmet without fallback, 3 verification mismatch.
 """
 
@@ -11,11 +11,10 @@ import os
 import random
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import oracle, qt_engine, tree_engine
-from .arith import ExactField, PrimeField, random_prime
+from .arith import ExactField, PrimeField, decimal_text, random_prime
 from .graph import (
     EdgeListParseError,
     Graph,
@@ -42,24 +41,12 @@ class PreconditionError(CliError):
     exit_code = 2
 
 
-@contextmanager
-def _no_int_digit_limit():
-    """Lift CPython's int<->decimal digit limit (3.10.7+) for the block.
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors: here 2 means a method precondition."""
 
-    Counts routinely exceed the default 4300 digits. The limit is
-    interpreter-wide, so it is restored on exit: `main` also runs in-process
-    inside other programs.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        yield
-        return
-    saved = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 @dataclass
@@ -72,11 +59,9 @@ class CountResult:
     k_or_p: int
 
     def to_json(self) -> str:
-        with _no_int_digit_limit():
-            tau = str(self.tau)
         return json.dumps(
             {
-                "tau": tau,
+                "tau": decimal_text(self.tau),
                 "method_used": self.method_used,
                 "fallback_reason": self.fallback_reason,
                 "elapsed_ms": round(self.elapsed_ms, 3),
@@ -223,23 +208,14 @@ def cmd_count(args) -> int:
         n, p = problem.n, problem.h.vertex_count
         tau, used, reason = _run(args.method, problem)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    result = CountResult(
-        tau=tau,
-        method_used=used,
-        fallback_reason=reason,
-        elapsed_ms=elapsed_ms,
-        n=n,
-        k_or_p=p,
-    )
-    print(result.to_json())
+    print(CountResult(tau, used, reason, elapsed_ms, n, p).to_json())
     if args.verbose:
-        with _no_int_digit_limit():
-            print(
-                f"tau(K_{n} - H) = {tau} via {used}"
-                + (f" (fallback: {reason})" if reason else "")
-                + f" in {elapsed_ms:.3f} ms",
-                file=sys.stderr,
-            )
+        print(
+            f"tau(K_{n} - H) = {decimal_text(tau)} via {used}"
+            + (f" (fallback: {reason})" if reason else "")
+            + f" in {elapsed_ms:.3f} ms",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -250,18 +226,17 @@ def cmd_verify(args) -> int:
         engine_tau += 1
     oracle_tau = _run_oracle(args.against, problem)
     equal = engine_tau == oracle_tau
-    with _no_int_digit_limit():
-        print(
-            json.dumps(
-                {
-                    "engine": str(engine_tau),
-                    "oracle": str(oracle_tau),
-                    "method": used,
-                    "against": args.against,
-                    "equal": equal,
-                }
-            )
+    print(
+        json.dumps(
+            {
+                "engine": decimal_text(engine_tau),
+                "oracle": decimal_text(oracle_tau),
+                "method": used,
+                "against": args.against,
+                "equal": equal,
+            }
         )
+    )
     return 0 if equal else 3
 
 
@@ -327,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Parsing leaves the parser unchanged, so every `main` call reuses it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kncomp",
         description="Exact spanning-tree counts of K_n minus a subtrahend graph.",
     )

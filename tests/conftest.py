@@ -1,9 +1,27 @@
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
+
+import pytest
 
 from kncomp.graph import Graph
 from kncomp.oracle import graph_from_cent_layout
 from kncomp.qt_engine import _shape
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    """Set CPython's int<->str digit limit for the block (0 lifts it), then
+    restore it. Skips the test on a CPython that has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this CPython has no int digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def relabel(g: Graph, perm: dict) -> Graph:

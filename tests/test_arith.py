@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import int_digit_limit
 from kncomp.arith import (
     ExactField,
     NonIntegerProductError,
     PrimeField,
+    decimal_text,
     is_prime,
     random_prime,
     tau_from_determinant,
@@ -23,6 +25,21 @@ def test_tau_from_determinant_divides_exactly_or_raises():
     assert tau_from_determinant(3, 3, 0) == 0
     with pytest.raises(NonIntegerProductError):
         tau_from_determinant(4, 4, 20)
+
+
+def test_decimal_text_equals_str_at_any_length():
+    # Around the 4096-bit pieces and their joins, and far beyond the default
+    # 4300-digit limit, under which decimal_text runs here.
+    values = [0, 1, -1, -(2**5000) + 3]
+    for bits in (4095, 4096, 4097, 8191, 8192, 8193, 12289):
+        values += [2**bits - 1, 2**bits]
+    for digits in (1233, 1234, 1235, 2466, 2467, 4300, 4301):
+        values += [10**digits - 1, 10**digits]
+    rng = random.Random(4096)
+    values += [rng.getrandbits(rng.randint(1, 300_000)) for _ in range(16)]
+    with int_digit_limit(0):
+        expected = [str(v) for v in values]
+    assert [decimal_text(v) for v in values] == expected
 
 
 @given(fractions_st, fractions_st)

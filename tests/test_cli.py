@@ -1,13 +1,24 @@
+import decimal
 import json
 import random
 import sys
 import time
+from collections import Counter
+from itertools import combinations
 
-from conftest import random_permutation, relabel
+import pytest
+from conftest import int_digit_limit, random_permutation, relabel
 from kncomp import cli, oracle, tree_engine
 from kncomp.arith import PrimeField, random_prime
 from kncomp.cli import CountResult, bench_once, main
-from kncomp.graph import serialize_edge_list
+from kncomp.graph import (
+    Graph,
+    Problem,
+    complement_in_host,
+    is_connected,
+    is_tree,
+    serialize_edge_list,
+)
 from kncomp.oracle import csplit_graph, path_graph
 
 PATH3 = "3 2\n1 2\n2 3\n"
@@ -32,8 +43,18 @@ def run(capsys, argv):
 
 
 def read_tau(out: str) -> int:
-    with cli._no_int_digit_limit():
-        return int(json.loads(out)["tau"])
+    # Decimal -> int never goes through int(str), so no digit limit applies.
+    return int(decimal.Decimal(json.loads(out)["tau"]))
+
+
+def residue_of_text(text: str, q: int) -> int:
+    """The decimal `text` modulo q, read 4000 digits at a time, each slice
+    under CPython's default 4300-digit limit."""
+    r = 0
+    for i in range(0, len(text), 4000):
+        piece = text[i : i + 4000]
+        r = (r * pow(10, len(piece), q) + int(piece)) % q
+    return r
 
 
 def test_count_path3_auto(tmp_path, capsys):
@@ -94,16 +115,30 @@ def test_auto_dispatch_records_the_path(tmp_path, capsys):
 
 
 def test_count_prints_tau_beyond_the_int_digit_limit(capsys):
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
-    before = digit_limit()
-    code, out, err = run(capsys, ["count", "--n", "1500", "--csplit", "1,1", "--verbose"])
+    # Under the lowest limit CPython accepts, which the count leaves as it is.
+    with int_digit_limit(640):
+        code, out, err = run(capsys, ["count", "--n", "1500", "--csplit", "1,1", "--verbose"])
+        assert sys.get_int_max_str_digits() == 640
     assert code == 0
-    assert digit_limit() == before
     tau = read_tau(out)
     assert len(json.loads(out)["tau"]) > 4300
     # n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with |K| = |S| = 1, p = 2
     assert tau == 1500**1497 * 1498
     assert err.startswith(f"tau(K_1500 - H) = {json.loads(out)['tau']} via ")
+
+
+def test_north_star_sized_tau_is_rendered_exactly(capsys):
+    # tau = 50001^49999 has 234,945 digits; its text is checked modulo a
+    # seeded 61-bit prime against the closed form.
+    n, size_k, size_s = 100_001, 50_000, 50_000
+    code, out, _ = run(capsys, ["count", "--n", str(n), "--csplit", f"{size_k},{size_s}"])
+    assert code == 0
+    text = json.loads(out)["tau"]
+    assert len(text) == 234_945
+    q = random_prime(61, random.Random(61))
+    p = size_k + size_s
+    closed_form = pow(n, n - p - 1, q) * pow(n - size_k, size_s - 1, q) * pow(n - p, size_k, q)
+    assert residue_of_text(text, q) == closed_form % q == pow(50001, 49999, q)
 
 
 def test_large_path_count_matches_the_pivot_product_mod_p(tmp_path, capsys):
@@ -219,6 +254,74 @@ def test_parse_and_validation_errors_exit_1(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe")
     code, _, err = run(capsys, ["count", "--n", "4", "--h", str(binary)])
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    for argv in (
+        ["count", "--n", "abc", "--csplit", "1,1"],
+        ["count", "--csplit", "1,1"],
+        ["count", "--n", "4", "--csplit", "1,1", "--method", "nope"],
+        ["count", "--n", "4", "--h", "h.el", "--csplit", "1,1"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.startswith("usage: kncomp")
+    for argv in (["--help"], ["count", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kncomp")
+
+
+def has_induced_p4_or_c4(g: Graph) -> bool:
+    for quad in combinations(g.vertices(), 4):
+        degrees = sorted(sum(g.has_edge(u, v) for v in quad if v != u) for u in quad)
+        if degrees in ([1, 1, 2, 2], [2, 2, 2, 2]):
+            return True
+    return False
+
+
+def is_complete_split(g: Graph) -> bool:
+    """Universal vertices (the clique K) exist and every other vertex has
+    degree |K|, so its neighbours are exactly K."""
+    p = g.vertex_count
+    universal = [v for v in g.vertices() if g.degree(v) == p - 1]
+    return bool(universal) and all(
+        g.degree(v) == len(universal) for v in g.vertices() if g.degree(v) != p - 1
+    )
+
+
+def test_auto_routes_every_small_subtrahend(capsys):
+    # Every labelled graph with p <= 5, at n in {p, p + 1, p + 3}: the label
+    # follows from checks that do not use the engines, and tau is Kirchhoff's.
+    tally = Counter()
+    for p in range(1, 6):
+        pairs = list(combinations(range(1, p + 1), 2))
+        for mask in range(1 << len(pairs)):
+            h = Graph(p, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if is_tree(h):
+                expected = ("tree", None)
+            elif not is_connected(h):
+                expected = ("kirchhoff", "subtrahend is disconnected")
+            elif has_induced_p4_or_c4(h):
+                expected = ("kirchhoff", "subtrahend is not quasi-threshold")
+            else:
+                expected = ("csplit" if is_complete_split(h) else "qt", None)
+            for n in (p, p + 1, p + 3):
+                problem = Problem(n, h)
+                tau, used, reason = cli._run("auto", problem)
+                assert (used, reason) == expected, (h, n)
+                assert tau == oracle.kirchhoff_count(complement_in_host(problem)), (h, n)
+                tally[used, reason] += 1
+    assert tally == {
+        ("tree", None): 438,
+        ("csplit", None): 87,
+        ("qt", None): 501,
+        ("kirchhoff", "subtrahend is disconnected"): 981,
+        ("kirchhoff", "subtrahend is not quasi-threshold"): 1290,
+    }
 
 
 def test_verbose_summary_on_stderr(tmp_path, capsys):
