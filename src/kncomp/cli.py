@@ -254,11 +254,11 @@ def _bench_instance(family: str, size: int, seed: int) -> Graph:
     raise CliError(f"unknown family {family!r}")
 
 
-def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, int]:
+def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, int, int]:
     """Time one engine run (decomposition + recursion + product, as
     `tree_engine.st_tau` or `qt_engine.cent_tau`) and report
-    (milliseconds, field multiply/divide operations). The instance build is
-    excluded from the timing.
+    (milliseconds, field multiply/divide operations, vertices of the
+    instance). The instance build is excluded from the timing.
 
     With mod_p the run is in one prime field, whose 62-bit modulus is drawn
     from seed ^ size; otherwise it is in exact rationals. A pivot that
@@ -275,7 +275,7 @@ def bench_once(family: str, size: int, seed: int, mod_p: bool) -> tuple[float, i
         qt_engine.cent_tau(qt_engine.recognize_and_build_cent_tree(h), n, field)
     else:
         tree_engine.st_tau(h, n, field)
-    return (time.perf_counter() - start) * 1000.0, field.ops
+    return (time.perf_counter() - start) * 1000.0, field.ops, n
 
 
 def cmd_bench(args) -> int:
@@ -286,13 +286,13 @@ def cmd_bench(args) -> int:
     if not sizes or any(s < 1 for s in sizes):
         raise CliError("--sizes needs positive integers")
     seed = _seed()
-    print("size,millis,ops")
+    print("size,millis,ops,p")
     for size in sizes:
         try:
-            millis, ops = bench_once(args.family, size, seed, args.mod_p)
+            millis, ops, p = bench_once(args.family, size, seed, args.mod_p)
         except ZeroDivisionError as exc:
             raise CliError(f"{args.family} size {size}: a pivot vanished ({exc})") from None
-        print(f"{size},{millis:.3f},{ops}")
+        print(f"{size},{millis:.3f},{ops},{p}")
     return 0
 
 

@@ -6,9 +6,9 @@ order, so parse/serialize round-trips are exact.
 
 The serializer's output is canonical text: "k m" and every "u v" in plain
 decimal with no leading zeros, one space between the two numbers and "\n"
-after each line. The parser reads canonical text in bulk and re-reads
-anything else, or any canonical text that fails a check, line by line; the
-line scan alone decides what is accepted and what each error says.
+after each line. The parser reads any text it accepts in place, one window
+of lines at a time, and builds its Graph there. Only text it rejects is read
+again, line by line, to report the first malformed line.
 """
 
 import operator
@@ -31,16 +31,21 @@ __all__ = [
 
 
 MAX_VERTEX_COUNT = 10**7
-# Canonical text, bounded to the digits a valid header or endpoint can have
-# (k <= 10^7, m <= k(k-1)/2 < 10^14), so that int() never meets a number
-# beyond CPython's limit on the digits of an int conversion.
-_CANONICAL_HEADER = re.compile(r"[1-9][0-9]{0,7} (?:0|[1-9][0-9]{0,13})")
+# Canonical lines, which this matches faster than _LINES does.
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
-# The bulk parse checks and splits the lines after the header this many
-# characters at a time, cut at a newline. Neither the tokens nor the matcher's
-# stack, which grows by about 180 bytes for each line it matches (16 MB for
-# 90,000 lines, 0.35 MB for a 16 KiB window of 1,860 lines), then scale with
-# the file.
+# Exactly what the line scan accepts: a header line, then lines that are blank
+# or hold two integers (\d is int()'s digits), broken as str.splitlines() breaks
+# them, with any other whitespace (\s, that of str.split()) between tokens.
+_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_INT = r"[+-]?\d+(?:_\d+)*"
+_BREAK = re.compile(rf"[{_BREAKS}]")
+_BLANK = rf"[^\S{_BREAKS}]"
+_HEADER = re.compile(rf"{_BLANK}*({_INT}){_BLANK}+({_INT}){_BLANK}*(?:[{_BREAKS}]|\Z)")
+_LINES = re.compile(rf"\s*(?:{_INT}{_BLANK}+{_INT}{_BLANK}*(?:[{_BREAKS}]\s*|\Z))*")
+# The parser checks and splits the lines after the header this many
+# characters at a time, cut after a line break, so neither the tokens nor the
+# matcher's stack (about 180 bytes a line: 0.35 MB for a 16 KiB window of
+# 1,860 canonical lines, 16 MB for 90,000) scale with the file.
 _CHUNK_CHARS = 1 << 14
 
 
@@ -140,50 +145,54 @@ def parse_edge_list(text: str) -> Graph:
     line number: bad header, k < 1 or k > MAX_VERTEX_COUNT, non-integer
     tokens, loops, duplicate edges, out-of-range endpoints, or an edge count
     that contradicts the header. Blank lines are ignored, and any whitespace
-    separates tokens; canonical text is read in bulk, everything else line
-    by line, with the same result.
+    separates tokens.
     """
-    g = _parse_canonical(text)
-    return g if g is not None else _parse_lines(text)
+    g = _read(text)
+    if g is None:
+        _scan_lines(text)
+        raise AssertionError("the line scan accepts text that _read rejects")
+    return g
 
 
-def _parse_canonical(text: str) -> Graph | None:
-    """The Graph of canonical text, read in bulk; None for any other text
-    and for canonical text that fails a check, which the line scan reports.
+def _read(text: str) -> Graph | None:
+    """The Graph of `text`, or None for text that fails a check.
 
     Reads `text` in place: only the header and one window at a time are
     copied, so the peak is about the text plus the graph.
     """
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    if not _CANONICAL_HEADER.fullmatch(text, 0, end):
+    header = _HEADER.match(text)
+    if header is None:
         return None
-    k, m = map(int, text[:end].split(" "))
-    start = end + 1
-    if k > MAX_VERTEX_COUNT or text.count("\n", start) != m:
+    try:
+        k, m = map(int, header.groups())
+    except ValueError:  # beyond int()'s limit on digits
         return None
-    # Where `_adjacency` gives a list per vertex the text is also larger
-    # than a table of the names of 1..k, so endpoints come from one, which
-    # also checks their range; otherwise they take int() and a range check.
-    adj = _adjacency(k, m)
-    table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else None
+    if not 1 <= k <= MAX_VERTEX_COUNT:
+        return None
+    start = header.end()
+    # Sized by the edges the lines can hold, so a header cannot size it alone.
+    # With a list per vertex the text also outweighs a table of the names of
+    # 1..k, which reads endpoints, checks their range and shares their ints.
+    adj = _adjacency(k, min(m, text.count("\n", start) + 1))
+    table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else {}
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        if not _CANONICAL_LINES.fullmatch(text, start, end):
+        cut = _BREAK.search(text, start + _CHUNK_CHARS)
+        end = cut.end() if cut else len(text)
+        if not (
+            _CANONICAL_LINES.fullmatch(text, start, end) or _LINES.fullmatch(text, start, end)
+        ):
             return None
         tokens = text[start:end].split()
         start = end
-        if table is not None:
+        try:
+            # Two or more names of 1..k: a tuple of their vertices comes back.
+            values = operator.itemgetter(*tokens)(table)
+        except (KeyError, TypeError):  # another token, or none
             try:
-                # A window holds at least one line, so at least two tokens,
-                # and itemgetter returns a tuple.
-                values = operator.itemgetter(*tokens)(table)
-            except KeyError:
+                values = list(map(int, tokens))
+            except ValueError:  # beyond int()'s limit on digits
                 return None
-        else:
-            values = list(map(int, tokens))
-            if max(values) > k:
+            if values and (min(values) < 1 or max(values) > k):
                 return None
         pairs = iter(values)
         for u, v in zip(pairs, pairs):
@@ -194,7 +203,7 @@ def _parse_canonical(text: str) -> Graph | None:
         g._freeze(k, adj)
     except ValueError:  # a duplicate edge or a loop
         return None
-    return g
+    return g if g.edge_count == m else None
 
 
 def _adjacency(k: int, m: int):
@@ -207,9 +216,9 @@ def _adjacency(k: int, m: int):
     return [[] for _ in range(k + 1)] if k <= 2 * m else defaultdict(list)
 
 
-def _parse_lines(text: str) -> Graph:
-    """The line scan behind parse_edge_list: accepts any whitespace and
-    reports the first malformed line."""
+def _scan_lines(text: str) -> None:
+    """The line scan behind parse_edge_list's errors: raises
+    EdgeListParseError for the first malformed line of `text`, if any."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise EdgeListParseError(1, "missing 'k m' header")
@@ -251,17 +260,7 @@ def _parse_lines(text: str) -> Graph:
             raise EdgeListParseError(line_no, f"duplicate edge {key}")
         seen.add(key)
     if len(seen) != m:
-        raise EdgeListParseError(
-            len(lines), f"header promised {m} edges, found {len(seen)}"
-        )
-    # Built only once m is checked, so a header cannot size it alone.
-    adj = _adjacency(k, m)
-    for u, v in seen:
-        adj[u].append(v)
-        adj[v].append(u)
-    g = Graph.__new__(Graph)
-    g._freeze(k, adj)
-    return g
+        raise EdgeListParseError(len(lines), f"header promised {m} edges, found {len(seen)}")
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -220,13 +220,13 @@ def test_criterion_8_linear_work_and_wall_time():
     for family in ("path", "star", "random-tree"):
         ops = {}
         for k in (10_000, 20_000, 40_000, 80_000):
-            _, ops[k] = bench_once(family, k, seed, mod_p=True)
+            _, ops[k], _ = bench_once(family, k, seed, mod_p=True)
         for k in (10_000, 20_000, 40_000):
             ratio = ops[2 * k] / ops[k]
             if not 1.8 <= ratio <= 2.2:
                 _report(8, False, f"{family}: ops({2*k})/ops({k}) = {ratio:.3f}")
     start = time.perf_counter()
-    millis, _ = bench_once("path", 100_000, seed, mod_p=True)
+    millis, _, _ = bench_once("path", 100_000, seed, mod_p=True)
     wall = time.perf_counter() - start
     if millis >= 2000.0:
         _report(8, False, f"mod-p engine took {millis:.0f} ms at k=100000")

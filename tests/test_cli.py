@@ -371,13 +371,14 @@ def test_bench_emits_csv(capsys):
     code, out, _ = run(capsys, ["bench", "--family", "path", "--sizes", "10,20"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "size,millis,ops"
+    assert lines[0] == "size,millis,ops,p"
     assert len(lines) == 3
     for line, size in zip(lines[1:], (10, 20)):
-        got_size, millis, ops = line.split(",")
+        got_size, millis, ops, p = line.split(",")
         assert int(got_size) == size
         assert float(millis) >= 0
         assert int(ops) > 0
+        assert int(p) == size  # a path on `size` vertices
 
 
 def test_bench_mod_p_and_seed_env(capsys, monkeypatch):
@@ -410,10 +411,11 @@ def test_bench_rejects_bad_sizes(capsys):
 
 
 def test_bench_once_covers_qt_family():
-    millis, ops = bench_once("random-qt", 12, 7, mod_p=True)
-    assert millis >= 0 and ops > 0
-    millis, ops = bench_once("random-qt", 12, 7, mod_p=False)
-    assert millis >= 0 and ops > 0
+    # The size bounds the nodes of a random layout; p is the instance's own.
+    millis, ops, p = bench_once("random-qt", 12, 7, mod_p=True)
+    assert millis >= 0 and ops > 0 and p == 20
+    millis, ops, p = bench_once("random-qt", 12, 7, mod_p=False)
+    assert millis >= 0 and ops > 0 and p == 20
 
 
 def test_count_result_json_round_trip():

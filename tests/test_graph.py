@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -85,6 +85,18 @@ def parse_outcome(parse, text):
         return str(exc), exc.line_no
 
 
+def scanned_outcome(text):
+    """The message and line of the line scan's first error in `text`, or,
+    when it finds none, the graph read off the text's tokens."""
+    try:
+        graph._scan_lines(text)
+    except EdgeListParseError as exc:
+        return str(exc), exc.line_no
+    k, _, *ends = map(int, text.split())
+    pairs = iter(ends)
+    return Graph(k, zip(pairs, pairs))
+
+
 # Edits that break canonical text in the ways a file can: stray or other
 # whitespace, signs, leading zeros, wrong tokens, and lines that repeat an
 # edge, reverse it, loop, leave the range or change the count.
@@ -123,8 +135,26 @@ def test_bulk_parse_agrees_with_the_line_scan(case, chunk_chars):
     g, text = case
     # Small chunks put the chunk boundaries of these short texts anywhere.
     with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
-        assert graph._parse_canonical(serialize_edge_list(g)) == g
-        assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+        assert parse_edge_list(serialize_edge_list(g)) == g
+        assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
+
+
+# Digits, signs, separators, a non-ASCII digit, a letter, and whitespace that
+# str.splitlines() breaks lines at ("\n", "\r", "\x0b", "\x85") or does not.
+SWEEP_ALPHABET = ["1", "2", "0", "+", "_", "\u0661", "x", " ", "\t", "\n", "\r", "\x0b", "\x85"]
+
+
+@pytest.mark.parametrize("prefix", ["", "3 1\n"])
+@pytest.mark.parametrize("chunk_chars", [1, graph._CHUNK_CHARS])
+def test_every_short_text_agrees_with_the_line_scan(prefix, chunk_chars):
+    # Every text of at most four of these characters, alone or after a
+    # header: the parser returns the graph of the tokens exactly when the
+    # line scan finds no error, and raises that error otherwise.
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+        for size in range(5):
+            for chars in product(SWEEP_ALPHABET, repeat=size):
+                text = prefix + "".join(chars)
+                assert parse_outcome(parse_edge_list, text) == scanned_outcome(text), text
 
 
 def _late_line_text(last_line: str) -> str:
@@ -145,12 +175,12 @@ def test_bulk_parse_reports_a_late_bad_line(last_line, fragment):
         parse_edge_list(text)
     assert err.value.line_no == 20001
     assert fragment in str(err.value)
-    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+    assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
 
 
 @pytest.mark.parametrize("text", ["3 0", "3 0\n", "3 0\n\n", "3 1", "3 2 1 2 2 3", "12 0 "])
 def test_header_line_texts_agree_with_the_line_scan(text):
-    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+    assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
 
 
 def _one_window_of_path_lines() -> list:
@@ -175,9 +205,9 @@ def test_a_header_and_one_full_window_parse_in_bulk(scale):
     header = f"{scale * (len(lines) + 1)} {len(lines)}\n"
     text = header + "".join(lines)
     assert text.find("\n", len(header) + graph._CHUNK_CHARS) == len(text) - 1
-    g = graph._parse_canonical(text)
+    g = graph._read(text)
     assert g is not None
-    assert g == graph._parse_lines(text)
+    assert g == scanned_outcome(text)
 
 
 @VERTEX_COUNT_SCALES
@@ -197,7 +227,7 @@ def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
         parse_edge_list(text)
     assert err.value.line_no == len(lines) + 2
     assert fragment in str(err.value)
-    assert parse_outcome(parse_edge_list, text) == parse_outcome(graph._parse_lines, text)
+    assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
 
 
 @pytest.mark.parametrize(
@@ -207,11 +237,16 @@ def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
         "3 2\x0b1 2\x0b2 3",
         "3 2\n\n1 2\n   \n2\t3\n\n",
         " 3  2\n1 2\n2 3\n",
+        "3 2\n1\u30002\n2\x1f3",  # str.split() separates at both; lines do not end
     ],
 )
 def test_other_whitespace_still_parses(text):
-    assert graph._parse_canonical(text) is None
     assert parse_edge_list(text) == Graph(3, [(1, 2), (2, 3)])
+
+
+def test_integers_are_read_as_int_reads_them():
+    # Signs, underscores between digits, leading zeros and other scripts' digits.
+    assert parse_edge_list("+3 0_2\n0_1 +2\n\u0662 03\n") == Graph(3, [(1, 2), (2, 3)])
 
 
 def traced_peak(parse, text) -> int:
@@ -225,18 +260,19 @@ def traced_peak(parse, text) -> int:
 
 
 def test_a_huge_header_builds_no_vertex_name_table():
-    # A table of 2 * 10^5 vertex names would take over 10 MB; the graph
-    # itself holds one empty neighbor list per vertex, about 16 MB.
+    # The graph is one pointer per vertex, 1.5 MiB, and the parse peaks at
+    # about 1.7 MiB. A table of 2 * 10^5 vertex names would take over 10 MB,
+    # and a list per vertex over 10 MiB more.
     text = "200000 1\n1 200000\n"
     assert parse_edge_list(text).edges() == [(1, 200_000)]
-    assert traced_peak(parse_edge_list, text) <= traced_peak(graph._parse_lines, text) + 2**20
+    assert traced_peak(parse_edge_list, text) < 3 * 2**20
 
 
 def test_bulk_parse_memory_does_not_grow_with_the_line_count():
-    # K_300 has 44,850 lines: matching them all at once, not a chunk at a
-    # time, would take over 8 MB, about as much as the line scan's 10 MB.
+    # K_300 has 44,850 lines and parses at a peak of about 1.3 MiB: matching
+    # them all at once, not a chunk at a time, would take over 8 MB.
     text = serialize_edge_list(Graph(300, list(combinations(range(1, 301), 2))))
-    assert traced_peak(parse_edge_list, text) < traced_peak(graph._parse_lines, text) / 2
+    assert traced_peak(parse_edge_list, text) < 4 * 2**20
 
 
 def traced_beyond_the_graph(text) -> int:
@@ -262,14 +298,29 @@ def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
     assert traced_beyond_the_graph(text) < 2**20
 
 
+@pytest.mark.parametrize("k", [300, 600])
+@pytest.mark.parametrize(
+    "form", [lambda t: t.replace(" ", "\t"), lambda t: t[:-1], lambda t: t.replace("\n", "\r")],
+    ids=["tabs", "no final newline", "cr"],
+)
+def test_other_text_peaks_at_the_graph_plus_one_window(k, form):
+    # Tab-separated lines, a last line without its newline, and lines ended
+    # by "\r" alone fail the canonical pattern and are read in the same
+    # windows: beyond the graph they hold at most about 2.5 MiB at either k.
+    # A parse that held every line and edge would take 7 MiB for K_300 and
+    # 29 MiB for K_600, and one window for all of K_600's lines over 100 MiB.
+    text = form(serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2)))))
+    assert traced_beyond_the_graph(text) < 4 * 2**20
+
+
 @pytest.mark.parametrize(
     "text",
     ["200000 0", "200000 2\n1 200000\n5 7\n", "200000 0\r\n", "200000 2\r\n1 200000\r\n5 7\r\n"],
 )
 def test_a_huge_header_allocates_about_the_graph(text):
     # The graph is one pointer per vertex, 1.5 MiB; a list per vertex would
-    # take over 10 MiB more. The "\r\n" texts are not canonical, so the line
-    # scan reads them.
+    # take over 10 MiB more. The "\r\n" texts are not canonical, but the
+    # same parser reads them in the same way.
     assert traced_beyond_the_graph(text) < 2**20
 
 
