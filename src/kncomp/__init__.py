@@ -33,7 +33,6 @@ from .qt_engine import (
     NotQuasiThresholdError,
     cent_function,
     count_kn_minus_csplit,
-    count_kn_minus_qt,
     recognize_and_build_cent_tree,
 )
 from .tree_engine import (
@@ -67,7 +66,6 @@ __all__ = [
     "CentTree",
     "recognize_and_build_cent_tree",
     "cent_function",
-    "count_kn_minus_qt",
     "count_kn_minus_csplit",
     "NotQuasiThresholdError",
     "kirchhoff_count",

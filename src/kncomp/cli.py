@@ -81,8 +81,10 @@ def _seed() -> int:
         raise CliError(f"KNCOMP_SEED must be an integer, got {raw!r}") from None
 
 
-def _load_problem(args) -> Problem:
-    """Build the Problem from --h or --csplit."""
+def _load_problem(args, method: str) -> Problem:
+    """Build the Problem from --h or --csplit for `method`, the count's
+    --method or verify's --against. A complete split graph is not built
+    when that method is the enumeration oracle and its guard refuses n."""
     if args.h is not None:
         try:
             with open(args.h, encoding="utf-8") as fh:
@@ -94,6 +96,8 @@ def _load_problem(args) -> Problem:
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
     else:
+        if method == "enumerate":
+            _check_enumerable(args.n)
         h = oracle.csplit_graph(*_csplit_sizes(args.csplit))
     try:
         return Problem(args.n, h)
@@ -141,13 +145,17 @@ def _run_oracle(method: str, problem: Problem) -> int:
     if method == "cst-matrix":
         return oracle.cst_matrix_count(problem)
     if method == "enumerate":
-        if problem.n > oracle.ENUMERATION_LIMIT:
-            raise CliError(
-                f"enumeration guard: n = {problem.n} exceeds "
-                f"{oracle.ENUMERATION_LIMIT} vertices"
-            )
+        _check_enumerable(problem.n)
         return oracle.enumerate_count(complement_in_host(problem))
     raise CliError(f"unknown method {method!r}")
+
+
+def _check_enumerable(n: int) -> None:
+    """The enumeration oracle's guard on the host size."""
+    if n > oracle.ENUMERATION_LIMIT:
+        raise CliError(
+            f"enumeration guard: n = {n} exceeds {oracle.ENUMERATION_LIMIT} vertices"
+        )
 
 
 def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
@@ -199,7 +207,7 @@ def _run_csplit(method: str, n: int, size_k: int, size_s: int) -> tuple[int, str
 
 def cmd_count(args) -> int:
     sizes = _graphless_csplit(args)
-    problem = None if sizes else _load_problem(args)
+    problem = None if sizes else _load_problem(args, args.method)
     start = time.perf_counter()
     if sizes:
         n, p = args.n, sum(sizes)
@@ -220,7 +228,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args)
+    problem = _load_problem(args, args.against)
     engine_tau, used, _ = _run(args.method, problem)
     if args.debug_force_wrong:
         engine_tau += 1

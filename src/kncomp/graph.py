@@ -4,11 +4,14 @@ The edge-list text format is a header line "k m" followed by m lines "u v"
 with 1-indexed endpoints. The serializer writes edges in lexicographic
 order, so parse/serialize round-trips are exact.
 
-The serializer's output is canonical text: "k m" and every "u v" in plain
-decimal with no leading zeros, one space between the two numbers and "\n"
-after each line. The parser reads any text it accepts in place, one window
-of lines at a time, and builds its Graph there. Only text it rejects is read
-again, line by line, to report the first malformed line.
+The parser takes lines as str.splitlines() breaks them, tokens as str.split()
+separates them and integers as int() reads them: each line after the header
+is blank or holds two tokens. It reads any text it accepts in place, one
+window of lines at a time, and builds its Graph there. Only text it rejects
+is read again, line by line, to report the first malformed line. Canonical
+text, which the serializer writes, has "k m" and every "u v" in plain decimal
+without leading zeros, one space inside each line and "\n" after it; one
+pattern checks a window of it.
 """
 
 import operator
@@ -31,21 +34,14 @@ __all__ = [
 
 
 MAX_VERTEX_COUNT = 10**7
-# Canonical lines, which this matches faster than _LINES does.
+# Canonical lines, which this pattern checks faster than splitting them does.
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
-# Exactly what the line scan accepts: a header line, then lines that are blank
-# or hold two integers (\d is int()'s digits), broken as str.splitlines() breaks
-# them, with any other whitespace (\s, that of str.split()) between tokens.
-_BREAKS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_INT = r"[+-]?\d+(?:_\d+)*"
-_BREAK = re.compile(rf"[{_BREAKS}]")
-_BLANK = rf"[^\S{_BREAKS}]"
-_HEADER = re.compile(rf"{_BLANK}*({_INT}){_BLANK}+({_INT}){_BLANK}*(?:[{_BREAKS}]|\Z)")
-_LINES = re.compile(rf"\s*(?:{_INT}{_BLANK}+{_INT}{_BLANK}*(?:[{_BREAKS}]\s*|\Z))*")
+# The characters str.splitlines() breaks lines at; windows are cut after one.
+_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 # The parser checks and splits the lines after the header this many
-# characters at a time, cut after a line break, so neither the tokens nor the
-# matcher's stack (about 180 bytes a line: 0.35 MB for a 16 KiB window of
-# 1,860 canonical lines, 16 MB for 90,000) scale with the file.
+# characters at a time, cut after a line break, so neither their tokens nor
+# the matcher's stack (about 180 bytes a line: 0.35 MB for a 16 KiB window
+# of 1,860 canonical lines, 16 MB for 90,000) scale with the file.
 _CHUNK_CHARS = 1 << 14
 
 
@@ -155,42 +151,39 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def _read(text: str) -> Graph | None:
-    """The Graph of `text`, or None for text that fails a check.
+    """The Graph of `text`, or None for text that fails a check after its
+    header line, whose errors `_header` raises.
 
     Reads `text` in place: only the header and one window at a time are
     copied, so the peak is about the text plus the graph.
     """
-    header = _HEADER.match(text)
-    if header is None:
-        return None
-    try:
-        k, m = map(int, header.groups())
-    except ValueError:  # beyond int()'s limit on digits
-        return None
-    if not 1 <= k <= MAX_VERTEX_COUNT:
-        return None
-    start = header.end()
-    # Sized by the edges the lines can hold, so a header cannot size it alone.
-    # With a list per vertex the text also outweighs a table of the names of
-    # 1..k, which reads endpoints, checks their range and shares their ints.
-    adj = _adjacency(k, min(m, text.count("\n", start) + 1))
+    cut = _BREAK.search(text)
+    k, m = _header(text[: cut.start()] if cut else text)
+    start = cut.end() if cut else len(text)
+    # A line "u v" and its break take at least four characters, so the text
+    # bounds the edges and a header cannot size the lists alone. With a list
+    # per vertex the text also outweighs a table of the names of 1..k, which
+    # reads endpoints, checks their range and shares their ints.
+    adj = _adjacency(k, min(m, (len(text) - start + 1) // 4))
     table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else {}
     while start < len(text):
         cut = _BREAK.search(text, start + _CHUNK_CHARS)
         end = cut.end() if cut else len(text)
+        window = text[start:end]
+        start = end
         if not (
-            _CANONICAL_LINES.fullmatch(text, start, end) or _LINES.fullmatch(text, start, end)
+            _CANONICAL_LINES.fullmatch(window)
+            or {0, 2}.issuperset(map(len, map(str.split, window.splitlines())))
         ):
             return None
-        tokens = text[start:end].split()
-        start = end
+        tokens = window.split()
         try:
             # Two or more names of 1..k: a tuple of their vertices comes back.
             values = operator.itemgetter(*tokens)(table)
         except (KeyError, TypeError):  # another token, or none
             try:
                 values = list(map(int, tokens))
-            except ValueError:  # beyond int()'s limit on digits
+            except ValueError:  # not an integer to int()
                 return None
             if values and (min(values) < 1 or max(values) > k):
                 return None
@@ -216,30 +209,36 @@ def _adjacency(k: int, m: int):
     return [[] for _ in range(k + 1)] if k <= 2 * m else defaultdict(list)
 
 
-def _scan_lines(text: str) -> None:
-    """The line scan behind parse_edge_list's errors: raises
-    EdgeListParseError for the first malformed line of `text`, if any."""
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+def _header(line: str) -> tuple[int, int]:
+    """k and m from `line`, the first line of an edge list; raises
+    EdgeListParseError for a malformed header."""
+    if not line.strip():
         raise EdgeListParseError(1, "missing 'k m' header")
-    header = lines[0].split()
+    header = line.split(maxsplit=2)  # a third token is enough to reject
     if len(header) != 2:
-        raise EdgeListParseError(1, f"expected 'k m' header, got {lines[0]!r}")
+        raise EdgeListParseError(1, f"expected 'k m' header, got {line!r}")
     try:
         k, m = int(header[0]), int(header[1])
     except ValueError:
-        raise EdgeListParseError(1, f"non-integer header fields {lines[0]!r}") from None
+        raise EdgeListParseError(1, f"non-integer header fields {line!r}") from None
     if k < 1:
         raise EdgeListParseError(1, f"vertex count must be at least 1, got {k}")
     if k > MAX_VERTEX_COUNT:
-        # Checked before Graph allocates k adjacency lists. A count with
+        # Checked before any neighbor lists are allocated. A count with
         # n >= k this large would have over 7 * 10^7 digits.
         raise EdgeListParseError(
             1, f"vertex count {k} exceeds the limit of {MAX_VERTEX_COUNT}"
         )
     if m < 0:
         raise EdgeListParseError(1, f"negative edge count {m}")
+    return k, m
 
+
+def _scan_lines(text: str) -> None:
+    """The line scan behind parse_edge_list's errors: raises
+    EdgeListParseError for the first malformed line of `text`, if any."""
+    lines = text.splitlines()
+    k, m = _header(lines[0] if lines else "")
     seen = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

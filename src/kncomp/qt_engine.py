@@ -61,7 +61,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .arith import ExactField, tau_from_determinant
-from .graph import Graph, Problem, check_host_size, is_connected
+from .graph import Graph, check_host_size, is_connected
 
 __all__ = [
     "NotQuasiThresholdError",
@@ -71,7 +71,6 @@ __all__ = [
     "cent_function",
     "cent_tau",
     "count_layout",
-    "count_kn_minus_qt",
     "count_kn_minus_csplit",
 ]
 
@@ -295,16 +294,6 @@ def count_layout(parents, mults, n: int) -> int:
     for mu, mult in spectrum.items():
         det *= (n - mu) ** mult
     return tau_from_determinant(n, mass[1], det)
-
-
-def count_kn_minus_qt(problem: Problem) -> int:
-    """Exact tau(K_n - Q) for a connected quasi-threshold subtrahend Q.
-
-    Raises NotQuasiThresholdError when Q is not quasi-threshold and
-    ValueError when Q is disconnected.
-    """
-    ct = recognize_and_build_cent_tree(problem.h)
-    return count_layout(ct.parents, ct.mults, problem.n)
 
 
 def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:

@@ -5,9 +5,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from kncomp.graph import Graph
+from kncomp.graph import Graph, Problem
 from kncomp.oracle import graph_from_cent_layout
-from kncomp.qt_engine import _shape
+from kncomp.qt_engine import _shape, count_layout, recognize_and_build_cent_tree
 
 
 @contextmanager
@@ -22,6 +22,14 @@ def int_digit_limit(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def qt_count(problem: Problem) -> int:
+    """tau(K_n - Q) for a connected quasi-threshold Q, as `kncomp count`
+    serves it: the node tree of Q, then count_layout. Raises
+    NotQuasiThresholdError, or ValueError when Q is disconnected."""
+    ct = recognize_and_build_cent_tree(problem.h)
+    return count_layout(ct.parents, ct.mults, problem.n)
 
 
 def relabel(g: Graph, perm: dict) -> Graph:

@@ -29,12 +29,11 @@ from kncomp.oracle import (
 from kncomp.qt_engine import (
     cent_function,
     count_kn_minus_csplit,
-    count_kn_minus_qt,
     recognize_and_build_cent_tree,
 )
 from kncomp.tree_engine import count_kn_minus_tree
 
-from conftest import random_permutation, relabel
+from conftest import qt_count, random_permutation, relabel
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -74,7 +73,7 @@ def test_criterion_2_qt_formula_randomized():
         checked += 1
         for n in (p, p + 1, p + 4):
             problem = Problem(n, g)
-            engine = count_kn_minus_qt(problem)
+            engine = qt_count(problem)
             oracle = kirchhoff_count(complement_in_host(problem))
             if engine != oracle:
                 _report(
@@ -183,7 +182,7 @@ def test_criterion_6_complete_split_closed_form():
                         * Fraction(n - p) ** size_k
                     )
                 csplit = count_kn_minus_csplit(n, size_k, size_s)
-                engine = count_kn_minus_qt(Problem(n, g))
+                engine = qt_count(Problem(n, g))
                 if not closed == csplit == engine:
                     _report(
                         6,
@@ -209,7 +208,7 @@ def test_criterion_7_known_special_cases():
             expected = n ** (n - p - 1) * (n - p) ** (p - 1) if n > p else 0
             if n == p == 1:
                 expected = 1
-            got = count_kn_minus_qt(Problem(n, complete_graph(p)))
+            got = qt_count(Problem(n, complete_graph(p)))
             if got != expected:
                 _report(7, False, f"K_{p} in K_{n}: {got} != {expected}")
     _report(7, True, "empty subtrahend gives n^(n-2); K_p matches its closed form")
@@ -244,12 +243,12 @@ def test_criterion_9_relabeling_invariance():
     tree_tau = count_kn_minus_tree(Problem(12, tree))
     qt = random_qt_graph(6, 3, 999)
     qt_n = qt.vertex_count + 2
-    qt_tau = count_kn_minus_qt(Problem(qt_n, qt))
+    qt_tau = qt_count(Problem(qt_n, qt))
     for _ in range(100):
         perm = random_permutation(9, rng)
         if count_kn_minus_tree(Problem(12, relabel(tree, perm))) != tree_tau:
             _report(9, False, f"tree count changed under permutation {perm}")
         perm = random_permutation(qt.vertex_count, rng)
-        if count_kn_minus_qt(Problem(qt_n, relabel(qt, perm))) != qt_tau:
+        if qt_count(Problem(qt_n, relabel(qt, perm))) != qt_tau:
             _report(9, False, f"qt count changed under permutation {perm}")
     _report(9, True, "100 relabelings of fixed tree and qt instances kept tau fixed")

@@ -367,6 +367,22 @@ def test_verify_enumerate_guard_exits_1(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_enumerate_guard_comes_before_the_csplit_graph(capsys, monkeypatch):
+    def no_graph(*_):
+        raise AssertionError("the graph was built before the guard")
+
+    # The graph would have about 3.75 * 10^9 edges.
+    monkeypatch.setattr(oracle, "csplit_graph", no_graph)
+    given = ["--n", "100001", "--csplit", "50000,50000"]
+    for argv in (
+        ["count", *given, "--method", "enumerate"],
+        ["verify", *given, "--method", "auto", "--against", "enumerate"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "enumeration guard: n = 100001 exceeds 8 vertices" in err
+
+
 def test_bench_emits_csv(capsys):
     code, out, _ = run(capsys, ["bench", "--family", "path", "--sizes", "10,20"])
     assert code == 0

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from itertools import combinations, product
 from unittest import mock
@@ -49,6 +50,7 @@ def test_parse_single_isolated_vertex():
         ("2 1\n1 5", 2, "out of range"),
         ("10 1\n1 11\n", 2, "out of range"),
         ("3 2\n1 2 3\n1\n", 2, "expected 'u v'"),  # four tokens, but not two per line
+        ("3 1\n1\n2\n", 2, "expected 'u v'"),  # two tokens, but one per line
         ("nonsense", 1, "header"),
         ("2", 1, "header"),
         ("x y", 1, "non-integer"),
@@ -244,6 +246,16 @@ def test_other_whitespace_still_parses(text):
     assert parse_edge_list(text) == Graph(3, [(1, 2), (2, 3)])
 
 
+def test_windows_are_cut_where_str_splitlines_breaks_lines():
+    # The one rule of Python's that the parser writes out itself: the
+    # characters it cuts windows after are exactly those that end a line.
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    breaks = {c for c in chars if c.splitlines() != [c]}
+    assert {c for c in chars if graph._BREAK.fullmatch(c)} == breaks
+    for c in sorted(breaks):
+        assert parse_edge_list(f"3 2{c}1 2{c}2 3") == path_graph(3), repr(c)
+
+
 def test_integers_are_read_as_int_reads_them():
     # Signs, underscores between digits, leading zeros and other scripts' digits.
     assert parse_edge_list("+3 0_2\n0_1 +2\n\u0662 03\n") == Graph(3, [(1, 2), (2, 3)])
@@ -275,14 +287,35 @@ def test_bulk_parse_memory_does_not_grow_with_the_line_count():
     assert traced_peak(parse_edge_list, text) < 4 * 2**20
 
 
-def traced_beyond_the_graph(text) -> int:
-    """Peak bytes traced while parse_edge_list reads `text`, less those of
-    the Graph it returns."""
+def test_blank_lines_do_not_size_the_graph():
+    # 100,000 blank lines hold no edge. Lists sized from the 100,000 edges
+    # the header promises, with a table of the names of 1..200000, would
+    # peak at over 30 MiB before the text is rejected.
+    text = "200000 100000\n" + "\n" * 100_000
+    outcome = ("line 100001: header promised 100000 edges, found 0", 100_001)
+    assert parse_outcome(parse_edge_list, text) == outcome
+    assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 3 * 2**20
+
+
+def test_a_long_first_line_is_not_split_into_tokens():
+    # A file of one line: its header error needs three of its 200,000
+    # tokens, and a list of them all would take over 11 MiB.
+    text = "12 34 " * 100_000
+    assert parse_outcome(parse_edge_list, text) == (
+        f"line 1: expected 'k m' header, got {text!r}",
+        1,
+    )
+    assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 4 * 2**20
+
+
+def traced_graph(text) -> tuple[int, int]:
+    """Bytes traced for the Graph parse_edge_list returns for `text`, and
+    the peak bytes traced while it reads `text` less those."""
     tracemalloc.start()
     try:
         g = parse_edge_list(text)  # noqa: F841 -- held while the size is read
         retained, peak = tracemalloc.get_traced_memory()
-        return peak - retained
+        return retained, peak - retained
     finally:
         tracemalloc.stop()
 
@@ -295,7 +328,7 @@ def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
     # of the lines, all neighbor lists held beside their tuples, or 64 KiB
     # windows each take K_600 over 1 MiB; the last takes K_300 too.
     text = serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2))))
-    assert traced_beyond_the_graph(text) < 2**20
+    assert traced_graph(text)[1] < 2**20
 
 
 @pytest.mark.parametrize("k", [300, 600])
@@ -309,8 +342,12 @@ def test_other_text_peaks_at_the_graph_plus_one_window(k, form):
     # windows: beyond the graph they hold at most about 2.5 MiB at either k.
     # A parse that held every line and edge would take 7 MiB for K_300 and
     # 29 MiB for K_600, and one window for all of K_600's lines over 100 MiB.
-    text = form(serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2)))))
-    assert traced_beyond_the_graph(text) < 4 * 2**20
+    # The graph is the canonical text's: lists sized from the "\n" count
+    # alone would give "\r" text separate ints, 8.3 against 2.8 MiB at K_600.
+    canonical = serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2))))
+    retained, beyond = traced_graph(form(canonical))
+    assert beyond < 4 * 2**20
+    assert retained <= 1.05 * traced_graph(canonical)[0]
 
 
 @pytest.mark.parametrize(
@@ -321,7 +358,7 @@ def test_a_huge_header_allocates_about_the_graph(text):
     # The graph is one pointer per vertex, 1.5 MiB; a list per vertex would
     # take over 10 MiB more. The "\r\n" texts are not canonical, but the
     # same parser reads them in the same way.
-    assert traced_beyond_the_graph(text) < 2**20
+    assert traced_graph(text)[1] < 2**20
 
 
 def test_graph_rejects_bad_edges():

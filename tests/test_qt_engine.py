@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_node_tree, random_permutation, relabel
+from conftest import check_node_tree, qt_count, random_permutation, relabel
 from kncomp.arith import PrimeField, random_prime
 from kncomp.graph import Graph, Problem, complement_in_host, is_connected
 from kncomp.oracle import (
@@ -28,7 +28,6 @@ from kncomp.qt_engine import (
     cent_function,
     cent_tau,
     count_kn_minus_csplit,
-    count_kn_minus_qt,
     count_layout,
     recognize_and_build_cent_tree,
 )
@@ -128,20 +127,20 @@ def test_count_complete_graph_closed_form():
             expected = n ** (n - p - 1) * (n - p) ** (p - 1) if n > p else 0
             if n == p == 1:
                 expected = 1
-            assert count_kn_minus_qt(Problem(n, complete_graph(p))) == expected
+            assert qt_count(Problem(n, complete_graph(p))) == expected
 
 
 def test_count_star_matches_tree_engine_value():
-    assert count_kn_minus_qt(Problem(4, STAR12)) == 3
+    assert qt_count(Problem(4, STAR12)) == 3
 
 
 def test_count_single_vertex_is_cayley():
-    assert count_kn_minus_qt(Problem(5, Graph(1))) == 125
+    assert qt_count(Problem(5, Graph(1))) == 125
 
 
 def test_count_rejects_p4():
     with pytest.raises(NotQuasiThresholdError):
-        count_kn_minus_qt(Problem(5, path_graph(4)))
+        qt_count(Problem(5, path_graph(4)))
 
 
 def test_csplit_closed_form_examples():
@@ -154,7 +153,7 @@ def test_csplit_closed_form_examples():
 def test_csplit_empty_stable_set_delegates_to_complete_graph():
     for p in range(1, 6):
         for n in range(p, 9):
-            assert count_kn_minus_csplit(n, p, 0) == count_kn_minus_qt(
+            assert count_kn_minus_csplit(n, p, 0) == qt_count(
                 Problem(n, complete_graph(p))
             )
 
@@ -174,7 +173,7 @@ def test_csplit_matches_qt_engine():
             p = size_k + size_s
             for n in (p, p + 2):
                 g = csplit_graph(size_k, size_s)
-                assert count_kn_minus_csplit(n, size_k, size_s) == count_kn_minus_qt(
+                assert count_kn_minus_csplit(n, size_k, size_s) == qt_count(
                     Problem(n, g)
                 )
 
@@ -354,7 +353,7 @@ def test_random_qt_graphs_match_oracle():
         p = g.vertex_count
         for n in (p, p + 1, p + 4):
             problem = Problem(n, g)
-            assert count_kn_minus_qt(problem) == kirchhoff_count(
+            assert qt_count(problem) == kirchhoff_count(
                 complement_in_host(problem)
             )
 
@@ -371,7 +370,7 @@ def test_paper_phi_product_matches_count_and_oracle_exhaustively():
                 continue
             for n in (p, p + 1, p + 3):
                 problem = Problem(n, g)
-                count = count_kn_minus_qt(problem)
+                count = qt_count(problem)
                 assert cent_tau(recognize_and_build_cent_tree(g), n) == count
                 assert count == kirchhoff_count(complement_in_host(problem))
                 checked += 1
@@ -385,7 +384,7 @@ def test_paper_phi_product_matches_count_on_random_layouts(max_nodes, seed, slac
     g = graph_from_cent_layout(*random_cent_layout(max_nodes, 3, random.Random(seed)))
     assume(g.vertex_count <= 10)
     problem = Problem(g.vertex_count + slack, g)
-    count = count_kn_minus_qt(problem)
+    count = qt_count(problem)
     assert cent_tau(recognize_and_build_cent_tree(g), problem.n) == count
     assert count == kirchhoff_count(complement_in_host(problem))
 
@@ -400,7 +399,7 @@ def test_cent_tau_in_a_prime_field_is_the_count_residue():
     for g in graphs:
         ct = recognize_and_build_cent_tree(g)
         for n in (g.vertex_count + 1, g.vertex_count + 5):
-            count = count_kn_minus_qt(Problem(n, g))
+            count = qt_count(Problem(n, g))
             assert cent_tau(ct, n, field) == count % field.modulus, (g.edges(), n)
 
 
@@ -411,7 +410,7 @@ def test_relabeling_never_changes_the_count(max_nodes, seed, perm_seed):
     p = g.vertex_count
     perm = random_permutation(p, random.Random(perm_seed))
     n = p + 3
-    assert count_kn_minus_qt(Problem(n, g)) == count_kn_minus_qt(
+    assert qt_count(Problem(n, g)) == qt_count(
         Problem(n, relabel(g, perm))
     )
 
