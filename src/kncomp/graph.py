@@ -8,10 +8,10 @@ The parser takes lines as str.splitlines() breaks them, tokens as str.split()
 separates them and integers as int() reads them: each line after the header
 is blank or holds two tokens. It reads any text it accepts in place, one
 window of lines at a time, and builds its Graph there. Only text it rejects
-is read again, line by line, to report the first malformed line. Canonical
-text, which the serializer writes, has "k m" and every "u v" in plain decimal
-without leading zeros, one space inside each line and "\n" after it; one
-pattern checks a window of it.
+is read again, line by line in the same windows, to report the first
+malformed line. Canonical text, which the serializer writes, has "k m" and
+every "u v" in plain decimal without leading zeros, one space inside each
+line and "\n" after it; one pattern checks a window of it.
 """
 
 import operator
@@ -36,8 +36,10 @@ __all__ = [
 MAX_VERTEX_COUNT = 10**7
 # Canonical lines, which this pattern checks faster than splitting them does.
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
-# The characters str.splitlines() breaks lines at; windows are cut after one.
-_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# The line breaks of str.splitlines(), "\r\n" one of them; windows are cut
+# after one, so a window never ends between "\r" and "\n". Leading with the
+# class keeps a search as fast as the class alone, which "\r\n|[...]" is not.
+_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029](?:(?<=\r)\n)?")
 # The parser checks and splits the lines after the header this many
 # characters at a time, cut after a line break, so neither their tokens nor
 # the matcher's stack (about 180 bytes a line: 0.35 MB for a 16 KiB window
@@ -157,20 +159,14 @@ def _read(text: str) -> Graph | None:
     Reads `text` in place: only the header and one window at a time are
     copied, so the peak is about the text plus the graph.
     """
-    cut = _BREAK.search(text)
-    k, m = _header(text[: cut.start()] if cut else text)
-    start = cut.end() if cut else len(text)
+    k, m, start = _head(text)
     # A line "u v" and its break take at least four characters, so the text
     # bounds the edges and a header cannot size the lists alone. With a list
     # per vertex the text also outweighs a table of the names of 1..k, which
     # reads endpoints, checks their range and shares their ints.
     adj = _adjacency(k, min(m, (len(text) - start + 1) // 4))
     table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else {}
-    while start < len(text):
-        cut = _BREAK.search(text, start + _CHUNK_CHARS)
-        end = cut.end() if cut else len(text)
-        window = text[start:end]
-        start = end
+    for window in _windows(text, start):
         if not (
             _CANONICAL_LINES.fullmatch(window)
             or {0, 2}.issuperset(map(len, map(str.split, window.splitlines())))
@@ -199,6 +195,25 @@ def _read(text: str) -> Graph | None:
     return g if g.edge_count == m else None
 
 
+def _head(text: str) -> tuple[int, int, int]:
+    """k and m from the header line of `text`, and where the line after it
+    starts; `_header` raises for a malformed header."""
+    cut = _BREAK.search(text)
+    if cut is None:
+        return (*_header(text), len(text))
+    return (*_header(text[: cut.start()]), cut.end())
+
+
+def _windows(text: str, start: int):
+    """The lines of `text` from `start` on, _CHUNK_CHARS characters and the
+    rest of a line at a time: each window but the last ends in a break."""
+    while start < len(text):
+        cut = _BREAK.search(text, start + _CHUNK_CHARS)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
 def _adjacency(k: int, m: int):
     """Empty neighbor lists for `Graph._freeze` of k vertices and m edges.
 
@@ -216,11 +231,11 @@ def _header(line: str) -> tuple[int, int]:
         raise EdgeListParseError(1, "missing 'k m' header")
     header = line.split(maxsplit=2)  # a third token is enough to reject
     if len(header) != 2:
-        raise EdgeListParseError(1, f"expected 'k m' header, got {line!r}")
+        raise EdgeListParseError(1, f"expected 'k m' header, got {_quote(line)}")
     try:
         k, m = int(header[0]), int(header[1])
     except ValueError:
-        raise EdgeListParseError(1, f"non-integer header fields {line!r}") from None
+        raise EdgeListParseError(1, f"non-integer header fields {_quote(line)}") from None
     if k < 1:
         raise EdgeListParseError(1, f"vertex count must be at least 1, got {k}")
     if k > MAX_VERTEX_COUNT:
@@ -236,30 +251,43 @@ def _header(line: str) -> tuple[int, int]:
 
 def _scan_lines(text: str) -> None:
     """The line scan behind parse_edge_list's errors: raises
-    EdgeListParseError for the first malformed line of `text`, if any."""
-    lines = text.splitlines()
-    k, m = _header(lines[0] if lines else "")
+    EdgeListParseError for the first malformed line of `text`, if any.
+
+    Walks the reader's windows, so it holds one window's lines and an int
+    per edge, min(u, v) * (k + 1) + max(u, v), at a time.
+    """
+    k, m, start = _head(text)
+    lines = (line for window in _windows(text, start) for line in window.splitlines())
     seen = set()
-    for line_no, line in enumerate(lines[1:], start=2):
+    line_no = 1
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise EdgeListParseError(line_no, f"expected 'u v', got {line!r}")
+            raise EdgeListParseError(line_no, f"expected 'u v', got {_quote(line)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer endpoint in {line!r}") from None
+            raise EdgeListParseError(line_no, f"non-integer endpoint in {_quote(line)}") from None
         if u == v:
             raise EdgeListParseError(line_no, f"loop at vertex {u}")
         if not (1 <= u <= k) or not (1 <= v <= k):
             raise EdgeListParseError(line_no, f"endpoint out of range 1..{k} in ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
+        if u > v:
+            u, v = v, u
+        key = u * (k + 1) + v
         if key in seen:
-            raise EdgeListParseError(line_no, f"duplicate edge {key}")
+            raise EdgeListParseError(line_no, f"duplicate edge {(u, v)}")
         seen.add(key)
     if len(seen) != m:
-        raise EdgeListParseError(len(lines), f"header promised {m} edges, found {len(seen)}")
+        raise EdgeListParseError(line_no, f"header promised {m} edges, found {len(seen)}")
+
+
+def _quote(line: str) -> str:
+    """`line` for an error message: whole up to 40 characters, else its
+    first 40 and its length."""
+    return repr(line) if len(line) <= 40 else f"{line[:40]!r}... ({len(line)} characters)"
 
 
 def serialize_edge_list(g: Graph) -> str:

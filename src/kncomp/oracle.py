@@ -2,9 +2,10 @@
 
 Two independent determinant oracles guard the engines: the classical
 Laplacian-cofactor count, and a rational count that scales the determinant
-of the complement adjacency system by n^(n-2). The cofactor's minor is
-symmetric and positive semidefinite, so it is eliminated fraction-free on
-its upper triangle with no row swaps, and a zero pivot means the count is 0.
+of the complement adjacency system on the subtrahend's p vertices by
+n^(n-2). The cofactor's minor is symmetric and positive semidefinite, so it
+is eliminated fraction-free on its upper triangle with no row swaps, and a
+zero pivot means the count is 0.
 For tiny graphs an exhaustive subset enumerator provides a third,
 arithmetic-free answer.
 """
@@ -147,23 +148,18 @@ def kirchhoff_count(g: Graph) -> int:
 
 
 def cst_matrix(problem: Problem):
-    """The complement adjacency system for K_n minus h, as an n x n rational
-    matrix: diagonal 1 - d_i/n with d_i the degree of i in h, off-diagonal
-    1/n exactly on the edges of h, zero elsewhere."""
+    """The complement adjacency system for K_n minus h, as a p x p rational
+    matrix on the p vertices of h: diagonal 1 - d_i/n with d_i the degree of
+    i in h, off-diagonal 1/n exactly on the edges of h, zero elsewhere. A
+    host vertex outside h would add only an identity row and column, so the
+    size does not grow with n."""
     n, h = problem.n, problem.h
     b = Fraction(1, n)
-    one = Fraction(1)
-    zero = Fraction(0)
-    rows = []
-    for v in range(1, n + 1):
-        row = [zero] * n
-        if v <= h.vertex_count:
-            row[v - 1] = one - h.degree(v) * b
-            for u in h.neighbors(v):
-                row[u - 1] = b
-        else:
-            row[v - 1] = one
-        rows.append(row)
+    rows = [[Fraction(0)] * h.vertex_count for _ in h.vertices()]
+    for v, row in zip(h.vertices(), rows):
+        row[v - 1] = 1 - h.degree(v) * b
+        for u in h.neighbors(v):
+            row[u - 1] = b
     return rows
 
 

@@ -32,6 +32,37 @@ def qt_count(problem: Problem) -> int:
     return count_layout(ct.parents, ct.mults, problem.n)
 
 
+def lucas(p: int, x: int) -> tuple[int, int]:
+    """(U_p(x), V_p(x)) of the Lucas sequences W_(j+1) = x*W_j - W_(j-1)
+    with U_0 = 0, U_1 = 1 and V_0 = 2, V_1 = x, by repeated squaring of
+    M = [[x, -1], [1, 0]]: M^p = [[U_(p+1), -U_p], [U_p, -U_(p-1)]], and its
+    trace U_(p+1) - U_(p-1) is V_p."""
+    a, b, c, d = 1, 0, 0, 1  # M^0
+    e, f, g, h = x, -1, 1, 0  # M^(2^i)
+    while p:
+        if p & 1:
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        p >>= 1
+        if p:
+            e, f, g, h = e * e + f * g, f * (e + h), g * (e + h), g * f + h * h
+    return c, a + d
+
+
+def disjoint_edges(m: int) -> Graph:
+    """m disjoint edges on 2m vertices."""
+    return Graph(2 * m, [(2 * i - 1, 2 * i) for i in range(1, m + 1)])
+
+
+def tau_from_closed_form(n: int, p: int, det: int) -> int:
+    """tau(K_n - H) = n^(n-p-2) * det(n*I - L(H)) for H on p vertices; for
+    n < p + 2 the power divides det, and the division must be exact."""
+    if n >= p + 2:
+        return n ** (n - p - 2) * det
+    tau, rest = divmod(det, n ** (p + 2 - n))
+    assert rest == 0, f"n^{p + 2 - n} does not divide {det}"
+    return tau
+
+
 def relabel(g: Graph, perm: dict) -> Graph:
     """Apply a vertex permutation (old id -> new id) to g."""
     return Graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])

@@ -17,14 +17,17 @@ from kncomp.oracle import (
     complete_graph,
     csplit_graph,
     cst_matrix_count,
+    cycle_graph,
     enumerate_count,
     graph_from_cent_layout,
     kirchhoff_count,
+    path_graph,
     random_cent_layout,
     random_graph,
     random_labeled_tree,
     random_qt_graph,
     rational_determinant,
+    star_graph,
 )
 from kncomp.qt_engine import (
     cent_function,
@@ -33,7 +36,14 @@ from kncomp.qt_engine import (
 )
 from kncomp.tree_engine import count_kn_minus_tree
 
-from conftest import qt_count, random_permutation, relabel
+from conftest import (
+    disjoint_edges,
+    lucas,
+    qt_count,
+    random_permutation,
+    relabel,
+    tau_from_closed_form,
+)
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -212,6 +222,85 @@ def test_criterion_7_known_special_cases():
             if got != expected:
                 _report(7, False, f"K_{p} in K_{n}: {got} != {expected}")
     _report(7, True, "empty subtrahend gives n^(n-2); K_p matches its closed form")
+
+
+# det(n*I - L(H)) for the subtrahends with closed forms in the paper's
+# introduction, with U and V the Lucas sequences at x = n - 2.
+def det_disjoint_edges(m: int, n: int) -> int:  # Weinberg
+    return (n * (n - 2)) ** m
+
+
+def det_star(s: int, n: int) -> int:  # O'Neil, K_(1,s)
+    return n * (n - 1) ** (s - 1) * (n - s - 1)
+
+
+def det_complete(p: int, n: int) -> int:  # Berge
+    return n * (n - p) ** (p - 1)
+
+
+def det_path(p: int, n: int) -> int:  # Gilbert and Myrvold
+    return n * lucas(p, n - 2)[0]
+
+
+def det_cycle(p: int, n: int) -> int:  # Gilbert and Myrvold
+    return lucas(p, n - 2)[1] - 2 * (-1) ** p
+
+
+def paper_closed_forms(p: int):
+    """(name, H, det) for each family with a member H on p vertices, where
+    det(n) is det(n*I - L(H))."""
+    forms = [
+        (f"K_{p}", complete_graph(p), lambda n: det_complete(p, n)),
+        (f"P_{p}", path_graph(p), lambda n: det_path(p, n)),
+    ]
+    if p % 2 == 0:
+        m = p // 2
+        forms.append((f"{m}K_2", disjoint_edges(m), lambda n: det_disjoint_edges(m, n)))
+    if p >= 2:
+        forms.append((f"K_1,{p - 1}", star_graph(p), lambda n: det_star(p - 1, n)))
+    if p >= 3:
+        forms.append((f"C_{p}", cycle_graph(p), lambda n: det_cycle(p, n)))
+    return forms
+
+
+def test_criterion_7_paper_closed_forms():
+    checked = 0
+    for p in range(1, 9):
+        for name, h, det in paper_closed_forms(p):
+            for n in (p, p + 1, p + 5):
+                problem = Problem(n, h)
+                expected = tau_from_closed_form(n, p, det(n))
+                kirchhoff = kirchhoff_count(complement_in_host(problem))
+                cst = cst_matrix_count(problem)
+                if not expected == kirchhoff == cst:
+                    _report(
+                        7,
+                        False,
+                        f"{name} in K_{n}: closed form {expected}, "
+                        f"kirchhoff {kirchhoff}, cst {cst}",
+                    )
+                checked += 1
+    _report(7, True, f"five closed forms == kirchhoff == cst-matrix on {checked} cases, p <= 8")
+
+
+def test_criterion_7_closed_forms_at_twenty_thousand():
+    # Far past Kirchhoff: the tree engine on the path (k = n) and the star
+    # (n = k + 1, since its count at n = k is 0), the csplit count on K_k,
+    # and the p x p cst-matrix oracle on C_20 and 10 disjoint edges.
+    k = 20_000
+    star = Problem(k + 1, star_graph(k))
+    edges = Problem(k, disjoint_edges(10))
+    cases = [
+        ("P_k", count_kn_minus_tree(Problem(k, path_graph(k))), k, k, det_path(k, k)),
+        ("K_1,k-1", count_kn_minus_tree(star), k + 1, k, det_star(k - 1, k + 1)),
+        ("K_k", count_kn_minus_csplit(k + 3, k, 0), k + 3, k, det_complete(k, k + 3)),
+        ("C_20", cst_matrix_count(Problem(k, cycle_graph(20))), k, 20, det_cycle(20, k)),
+        ("10K_2", cst_matrix_count(edges), k, 20, det_disjoint_edges(10, k)),
+    ]
+    for name, got, n, p, det in cases:
+        if got != tau_from_closed_form(n, p, det):
+            _report(7, False, f"{name} in K_{n} differs from its closed form")
+    _report(7, True, "path, star, K_k, C_20 and 10 disjoint edges match closed forms at 20000")
 
 
 def test_criterion_8_linear_work_and_wall_time():

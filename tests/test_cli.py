@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from conftest import int_digit_limit, random_permutation, relabel
+from conftest import int_digit_limit, lucas, random_permutation, relabel
 from kncomp import cli, oracle, tree_engine
 from kncomp.arith import PrimeField, random_prime
 from kncomp.cli import CountResult, bench_once, main
@@ -19,7 +19,7 @@ from kncomp.graph import (
     is_tree,
     serialize_edge_list,
 )
-from kncomp.oracle import csplit_graph, path_graph
+from kncomp.oracle import csplit_graph, cycle_graph, path_graph
 
 PATH3 = "3 2\n1 2\n2 3\n"
 PATH4 = "4 3\n1 2\n2 3\n3 4\n"
@@ -139,6 +139,23 @@ def test_north_star_sized_tau_is_rendered_exactly(capsys):
     p = size_k + size_s
     closed_form = pow(n, n - p - 1, q) * pow(n - size_k, size_s - 1, q) * pow(n - p, size_k, q)
     assert residue_of_text(text, q) == closed_form % q == pow(50001, 49999, q)
+
+
+def test_cst_matrix_reaches_a_north_star_host(tmp_path, capsys):
+    # The cst-matrix system is 20 x 20 for C_20 at any n: at n = 10^5 its
+    # tau, with 499,990 digits, is n^(n-22) * (V_20(n - 2) - 2), the cycle's
+    # closed form (Gilbert and Myrvold), checked modulo a seeded 61-bit prime.
+    n = 100_000
+    c20 = write(tmp_path, "c20.el", serialize_edge_list(cycle_graph(20)))
+    code, out, _ = run(capsys, ["count", "--n", str(n), "--h", c20, "--method", "cst-matrix"])
+    assert code == 0 and json.loads(out)["method_used"] == "cst-matrix"
+    q = random_prime(61, random.Random(61))
+    closed_form = pow(n, n - 22, q) * (lucas(20, n - 2)[1] - 2)
+    assert residue_of_text(json.loads(out)["tau"], q) == closed_form % q
+    p20 = write(tmp_path, "p20.el", serialize_edge_list(path_graph(20)))
+    argv = ["verify", "--n", str(n), "--h", p20, "--method", "tree", "--against", "cst-matrix"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_large_path_count_matches_the_pivot_product_mod_p(tmp_path, capsys):

@@ -18,7 +18,7 @@ from kncomp.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from kncomp.oracle import path_graph
+from kncomp.oracle import complete_graph, path_graph
 
 
 @st.composite
@@ -299,13 +299,52 @@ def test_blank_lines_do_not_size_the_graph():
 
 def test_a_long_first_line_is_not_split_into_tokens():
     # A file of one line: its header error needs three of its 200,000
-    # tokens, and a list of them all would take over 11 MiB.
+    # tokens, and a list of them all would take over 11 MiB. The message
+    # quotes the line's first 40 characters and its length.
     text = "12 34 " * 100_000
     assert parse_outcome(parse_edge_list, text) == (
-        f"line 1: expected 'k m' header, got {text!r}",
+        f"line 1: expected 'k m' header, got {text[:40]!r}... (600000 characters)",
         1,
     )
     assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("1 2 " * 10, 1, "expected 'k m' header, got '" + "1 2 " * 10 + "'"),
+        ("1 " + "x" * 40, 1, f"non-integer header fields {'1 ' + 'x' * 38!r}... (42 characters)"),
+        ("9 1\n" + "1 2 " * 30, 2, f"expected 'u v', got {'1 2 ' * 10!r}... (120 characters)"),
+        (
+            "9 1\n1 " + "y" * 50,
+            2,
+            f"non-integer endpoint in {'1 ' + 'y' * 38!r}... (52 characters)",
+        ),
+    ],
+)
+def test_messages_quote_at_most_40_characters_of_a_line(text, line_no, message):
+    assert parse_outcome(parse_edge_list, text) == (f"line {line_no}: {message}", line_no)
+
+
+def test_a_rejected_text_is_scanned_one_window_at_a_time():
+    # K_600 with its last line repeated: the duplicate is named after all
+    # 179,700 lines. Every line and an (u, v) tuple per edge held at once
+    # peak at about 37 MiB; one window's lines and an int per edge at 17.
+    lines = serialize_edge_list(complete_graph(600)).splitlines()
+    lines[0] = "600 179701"
+    text = "\n".join(lines + lines[-1:]) + "\n"
+    outcome = ("line 179702: duplicate edge (599, 600)", 179_702)
+    assert parse_outcome(parse_edge_list, text) == outcome
+    assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 24 * 2**20
+
+
+@pytest.mark.parametrize("chunk_chars", range(1, 8))
+def test_a_window_never_ends_between_cr_and_lf(chunk_chars):
+    # "\r\n" is one line break, wherever a window boundary falls; cut
+    # between its characters, the scan would count a blank line more.
+    text = "3 3\r\n1 2\r\n2 3\r\n\r\n1 3\r\n3 1\r\n"
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+        assert parse_outcome(parse_edge_list, text) == ("line 6: duplicate edge (1, 3)", 6)
 
 
 def traced_graph(text) -> tuple[int, int]:

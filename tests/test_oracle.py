@@ -77,10 +77,18 @@ def test_cst_matrix_shape_and_entries():
     problem = Problem(4, Graph(3, [(1, 2), (2, 3)]))
     rows = cst_matrix(problem)
     b = Fraction(1, 4)
-    assert rows[0][0] == 1 - b and rows[1][1] == 1 - 2 * b
-    assert rows[3][3] == 1  # host vertex outside H
+    assert [len(row) for row in rows] == [3, 3, 3]  # H's vertices only
+    assert rows[0][0] == 1 - b and rows[1][1] == 1 - 2 * b and rows[2][2] == 1 - b
     assert rows[0][1] == b and rows[1][2] == b
-    assert rows[0][2] == 0 and rows[0][3] == 0
+    assert rows[0][2] == 0 and rows[2][0] == 0
+
+
+def test_cst_matrix_is_sized_by_the_subtrahend_not_the_host():
+    # A host vertex outside H adds only an identity row and column, so the
+    # system on C_20 in K_2000 is 20 x 20, not 2000 x 2000.
+    rows = cst_matrix(Problem(2000, cycle_graph(20)))
+    assert [len(row) for row in rows] == [20] * 20
+    assert cst_matrix(Problem(5, Graph(0))) == []
 
 
 def test_cst_count_examples():
