@@ -16,6 +16,7 @@ line and "\n" after it; one pattern checks a window of it.
 
 import operator
 import re
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -76,6 +77,15 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._freeze(vertex_count, adj)
+
+    @classmethod
+    def _from_lists(cls, vertex_count: int, adj) -> "Graph":
+        """The Graph of the neighbor lists `adj`, taken as `_freeze` takes
+        them. The caller builds lists that are symmetric and in range;
+        `_freeze` still raises ValueError for a duplicate edge or a loop."""
+        g = cls.__new__(cls)
+        g._freeze(vertex_count, adj)
+        return g
 
     def _freeze(self, vertex_count: int, adj) -> None:
         """Take the neighbor lists `adj`: a list indexed by vertex (index 0
@@ -160,12 +170,7 @@ def _read(text: str) -> Graph | None:
     copied, so the peak is about the text plus the graph.
     """
     k, m, start = _head(text)
-    # A line "u v" and its break take at least four characters, so the text
-    # bounds the edges and a header cannot size the lists alone. With a list
-    # per vertex the text also outweighs a table of the names of 1..k, which
-    # reads endpoints, checks their range and shares their ints.
-    adj = _adjacency(k, min(m, (len(text) - start + 1) // 4))
-    table = {str(v): v for v in range(1, k + 1)} if isinstance(adj, list) else {}
+    adj, table = _lists(k, m, text, start)
     for window in _windows(text, start):
         if not (
             _CANONICAL_LINES.fullmatch(window)
@@ -187,9 +192,8 @@ def _read(text: str) -> Graph | None:
         for u, v in zip(pairs, pairs):
             adj[u].append(v)
             adj[v].append(u)
-    g = Graph.__new__(Graph)
     try:
-        g._freeze(k, adj)
+        g = Graph._from_lists(k, adj)
     except ValueError:  # a duplicate edge or a loop
         return None
     return g if g.edge_count == m else None
@@ -214,14 +218,21 @@ def _windows(text: str, start: int):
         start = end
 
 
-def _adjacency(k: int, m: int):
-    """Empty neighbor lists for `Graph._freeze` of k vertices and m edges.
+def _lists(k: int, m: int, text: str, start: int):
+    """Empty neighbor lists for `Graph._freeze` of the k vertices and at most
+    m edges of `text`, whose lines start at `start`, and a table of the
+    names of 1..k that reads endpoints, checks their range and shares their
+    ints; the table is empty when the lists are a dict.
 
-    When k <= 2m the text, at least 4m characters, is larger than a list per
-    vertex; a larger k, such as a header "10000000 1", gets a dict that
-    lists the vertices an edge touches only.
+    A line "u v" and its break take at least four characters, so the text
+    bounds the edges and a header cannot size the lists alone. When k is at
+    most twice that bound, the text is larger than a list per vertex and
+    than the table; a larger k, such as a header "10000000 1", gets a dict
+    that lists the vertices an edge touches only.
     """
-    return [[] for _ in range(k + 1)] if k <= 2 * m else defaultdict(list)
+    if k > 2 * min(m, (len(text) - start + 1) // 4):
+        return defaultdict(list), {}
+    return [[] for _ in range(k + 1)], {str(v): v for v in range(1, k + 1)}
 
 
 def _header(line: str) -> tuple[int, int]:
@@ -253,35 +264,76 @@ def _scan_lines(text: str) -> None:
     """The line scan behind parse_edge_list's errors: raises
     EdgeListParseError for the first malformed line of `text`, if any.
 
-    Walks the reader's windows, so it holds one window's lines and an int
-    per edge, min(u, v) * (k + 1) + max(u, v), at a time.
+    Walks the reader's windows, so it holds one window's lines at a time.
+    Every edge before the first other error goes into neighbor lists that
+    share their ints through the reader's name table, as the reader's own
+    do; sorted, as `Graph._freeze` sorts them, they show the pairs that
+    repeat, and only if some pair does is the text read again to name the
+    first line that repeats one.
     """
     k, m, start = _head(text)
-    lines = (line for window in _windows(text, start) for line in window.splitlines())
-    seen = set()
+    adj, table = _lists(k, m, text, start)
+    edges = 0
+    error = None
     line_no = 1
+    try:
+        for line_no, edge in _edges(text, start, k, table):
+            if edge:
+                u, v = edge
+                adj[u].append(v)
+                adj[v].append(u)
+                edges += 1
+    except EdgeListParseError as exc:
+        error = exc
+    repeated = _repeated_pairs(adj)
+    if repeated:
+        seen = set()
+        for line_no, edge in _edges(text, start, k, table):
+            if edge in repeated:
+                if edge in seen:
+                    raise EdgeListParseError(line_no, f"duplicate edge {edge}")
+                seen.add(edge)
+    if error:
+        raise error
+    if edges != m:
+        raise EdgeListParseError(line_no, f"header promised {m} edges, found {edges}")
+
+
+def _edges(text: str, start: int, k: int, table: dict):
+    """(line number, edge) for every line of `text` from `start` on, which
+    is line 2: the line's edge (u, v), u < v, with the ints of `table` for
+    the names it holds, or None for a blank line. Raises EdgeListParseError
+    at the first malformed line."""
+    lines = (line for window in _windows(text, start) for line in window.splitlines())
     for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            yield line_no, None
+            continue
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected 'u v', got {_quote(line)}")
+        a, b = parts
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u = table.get(a) or int(a)
+            v = table.get(b) or int(b)
         except ValueError:
             raise EdgeListParseError(line_no, f"non-integer endpoint in {_quote(line)}") from None
         if u == v:
             raise EdgeListParseError(line_no, f"loop at vertex {u}")
         if not (1 <= u <= k) or not (1 <= v <= k):
             raise EdgeListParseError(line_no, f"endpoint out of range 1..{k} in ({u}, {v})")
-        if u > v:
-            u, v = v, u
-        key = u * (k + 1) + v
-        if key in seen:
-            raise EdgeListParseError(line_no, f"duplicate edge {(u, v)}")
-        seen.add(key)
-    if len(seen) != m:
-        raise EdgeListParseError(line_no, f"header promised {m} edges, found {len(seen)}")
+        yield line_no, (u, v) if u < v else (v, u)
+
+
+def _repeated_pairs(adj) -> set:
+    """The pairs (u, v), u < v, that the neighbor lists `adj` hold more than
+    once; sorts each list in place."""
+    repeated = set()
+    for u, ns in adj.items() if isinstance(adj, dict) else enumerate(adj):
+        if len(set(ns)) != len(ns):
+            ns.sort()
+            repeated.update((u, v) for v, w in zip(ns, ns[1:]) if v == w and u < v)
+    return repeated
 
 
 def _quote(line: str) -> str:
@@ -291,10 +343,26 @@ def _quote(line: str) -> str:
 
 
 def serialize_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list; edges emitted in lexicographic order."""
+    """Inverse of parse_edge_list; edges emitted in lexicographic order.
+
+    A graph with at least four edges per vertex is written one vertex at a
+    time: one join writes the lines "u v" of every upper neighbor v of u,
+    with v's name from a table of the names of 0..k. A join costs about as
+    much as four f-strings, so a sparser graph, such as a tree, whose
+    vertices have one or two upper neighbors, gets one f-string per edge.
+    """
     out = [f"{g.vertex_count} {g.edge_count}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    if g.edge_count < 4 * g.vertex_count:
+        out += [f"{u} {v}" for u, ns in enumerate(g._adj) for v in ns if u < v]
+    else:
+        names = list(map(str, range(g.vertex_count + 1)))
+        for u, ns in enumerate(g._adj):
+            upper = ns[bisect_right(ns, u) :]
+            if upper:
+                sep = f"\n{u} "
+                out.append(sep[1:] + sep.join(map(names.__getitem__, upper)))
+    out.append("")
+    return "\n".join(out)
 
 
 def is_connected(g: Graph) -> bool:
@@ -344,16 +412,20 @@ def check_host_size(n: int, p: int) -> None:
 
 
 def complement_in_host(problem: Problem) -> Graph:
-    """Explicit K_n minus h on all n host vertices.
+    """Explicit K_n minus h on all n host vertices: the neighbors of host
+    vertex u are 1..n less u and its neighbors in h, taken as runs.
 
     Oracle use only: the counting engines never materialize the complement.
     """
     n, h = problem.n, problem.h
-    removed = set(h.edges())
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if (u, v) not in removed
-    ]
-    return Graph(n, edges)
+    adj = [[]]
+    for u in range(1, n + 1):
+        cuts = sorted((*h.neighbors(u), u)) if u <= h.vertex_count else (u,)
+        ns = []
+        start = 1
+        for v in cuts:
+            ns += range(start, v)
+            start = v + 1
+        ns += range(start, n + 1)
+        adj.append(ns)
+    return Graph._from_lists(n, adj)

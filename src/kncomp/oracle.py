@@ -12,7 +12,7 @@ arithmetic-free answer.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .arith import NonIntegerProductError
 from .graph import Graph, Problem
@@ -323,24 +323,33 @@ def random_cent_layout(max_nodes: int, max_multiplicity: int, rng: random.Random
 
 def graph_from_cent_layout(parents, mults) -> Graph:
     """Expand a node layout into its graph: each node's members form a
-    clique and join completely with every ancestor's members."""
+    clique and join completely with every ancestor's members.
+
+    Members are numbered consecutively in node-id order, so the neighbors
+    of a member of node i are the vertex runs of i's ancestors, i itself and
+    i's descendants, taken in ascending node id, less the member.
+    """
     k = len(parents) - 1
-    members = [()]
-    nxt = 1
+    first = list(accumulate(mults[1:], initial=1))  # node i starts at first[i - 1]
+    related = [[i] for i in range(k + 1)]
     for i in range(1, k + 1):
-        members.append(tuple(range(nxt, nxt + mults[i])))
-        nxt += mults[i]
-    edges = []
-    for i in range(1, k + 1):
-        mem = members[i]
-        edges.extend(combinations(mem, 2))
         j = parents[i]
         while j:
-            for x in members[j]:
-                for y in mem:
-                    edges.append((x, y))
+            related[i].append(j)
+            related[j].append(i)
             j = parents[j]
-    return Graph(nxt - 1, edges)
+    adj = [[]]
+    for i in range(1, k + 1):
+        row = []
+        for j in sorted(related[i]):
+            if j == i:
+                at = len(row)
+            row += range(first[j - 1], first[j])
+        for pos in range(at, at + mults[i]):
+            ns = row.copy()
+            del ns[pos]
+            adj.append(ns)
+    return Graph._from_lists(first[-1] - 1, adj)
 
 
 def random_qt_graph(max_nodes: int, max_multiplicity: int, seed: int) -> Graph:
@@ -382,13 +391,11 @@ def caterpillar_graph(k: int) -> Graph:
 
 def csplit_graph(size_k: int, size_s: int) -> Graph:
     """Complete split graph: clique on 1..size_k joined to the independent
-    set size_k+1..size_k+size_s."""
+    set size_k+1..size_k+size_s. It is the layout of a root with size_k
+    members and size_s children of one member each."""
     if size_k < 1 or size_s < 0:
         raise ValueError("clique part >= 1 and independent part >= 0 required")
-    p = size_k + size_s
-    edges = list(combinations(range(1, size_k + 1), 2))
-    edges.extend((u, v) for u in range(1, size_k + 1) for v in range(size_k + 1, p + 1))
-    return Graph(p, edges)
+    return graph_from_cent_layout([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s)
 
 
 def all_graphs(k: int):

@@ -2,6 +2,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from itertools import combinations
 
 import pytest
 
@@ -93,3 +94,60 @@ def check_node_tree(ct, q: Graph):
     _, above, mass = _shape(ct.parents, ct.mults)
     for i, mem in enumerate(ct.members[1:], start=1):
         assert all(q.degree(v) == above[i] + mass[i] - 1 for v in mem)
+
+
+# Edge-by-edge references for the builders that work in neighbor runs:
+# each builds its graph from a list of (u, v) pairs through Graph(k, edges),
+# or writes one f-string per edge of Graph.edges().
+
+
+def edgewise_graph_from_cent_layout(parents, mults) -> Graph:
+    """oracle.graph_from_cent_layout: each node's members form a clique and
+    join completely with every ancestor's members."""
+    k = len(parents) - 1
+    members = [()]
+    nxt = 1
+    for i in range(1, k + 1):
+        members.append(tuple(range(nxt, nxt + mults[i])))
+        nxt += mults[i]
+    edges = []
+    for i in range(1, k + 1):
+        mem = members[i]
+        edges.extend(combinations(mem, 2))
+        j = parents[i]
+        while j:
+            for x in members[j]:
+                for y in mem:
+                    edges.append((x, y))
+            j = parents[j]
+    return Graph(nxt - 1, edges)
+
+
+def edgewise_csplit_graph(size_k: int, size_s: int) -> Graph:
+    """oracle.csplit_graph: a clique on 1..size_k joined to the independent
+    set size_k+1..size_k+size_s."""
+    p = size_k + size_s
+    edges = list(combinations(range(1, size_k + 1), 2))
+    edges.extend((u, v) for u in range(1, size_k + 1) for v in range(size_k + 1, p + 1))
+    return Graph(p, edges)
+
+
+def edgewise_complement_in_host(problem: Problem) -> Graph:
+    """graph.complement_in_host: K_n minus h on all n host vertices."""
+    n, h = problem.n, problem.h
+    removed = set(h.edges())
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if (u, v) not in removed
+    ]
+    return Graph(n, edges)
+
+
+def edgewise_serialize_edge_list(g: Graph) -> str:
+    """graph.serialize_edge_list: the header, then one line per edge in
+    lexicographic order."""
+    out = [f"{g.vertex_count} {g.edge_count}"]
+    out.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ from kncomp.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from kncomp.oracle import complete_graph, path_graph
+from kncomp.oracle import complete_graph, csplit_graph, path_graph
 
 
 @st.composite
@@ -329,13 +329,28 @@ def test_messages_quote_at_most_40_characters_of_a_line(text, line_no, message):
 def test_a_rejected_text_is_scanned_one_window_at_a_time():
     # K_600 with its last line repeated: the duplicate is named after all
     # 179,700 lines. Every line and an (u, v) tuple per edge held at once
-    # peak at about 37 MiB; one window's lines and an int per edge at 17.
+    # peak at about 37 MiB, one window's lines and an int per edge at 17,
+    # and one window's lines and sorted neighbor lists at 3.7.
     lines = serialize_edge_list(complete_graph(600)).splitlines()
     lines[0] = "600 179701"
     text = "\n".join(lines + lines[-1:]) + "\n"
     outcome = ("line 179702: duplicate edge (599, 600)", 179_702)
     assert parse_outcome(parse_edge_list, text) == outcome
     assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 24 * 2**20
+
+
+def test_a_repeated_edge_is_named_within_the_memory_of_the_graph():
+    # The tab-separated complete split graph csplit(120, 120), 21,540 lines,
+    # with its last line repeated. Both texts peak in the reader, at about
+    # 0.9 MiB: the line scan finds the repeated pair in sorted neighbor
+    # lists no larger than the reader's. A set of an int per edge took the
+    # rejected text to 3.2 MiB.
+    valid = serialize_edge_list(csplit_graph(120, 120)).replace(" ", "\t")
+    text = valid + valid.splitlines(keepends=True)[-1]
+    outcome = ("line 21542: duplicate edge (120, 240)", 21_542)
+    assert parse_outcome(parse_edge_list, text) == outcome
+    peak = traced_peak(lambda t: parse_outcome(parse_edge_list, t), text)
+    assert peak < 1.2 * traced_peak(parse_edge_list, valid)
 
 
 @pytest.mark.parametrize("chunk_chars", range(1, 8))
