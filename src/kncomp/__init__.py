@@ -32,7 +32,6 @@ from .qt_engine import (
     CentTree,
     NotQuasiThresholdError,
     cent_function,
-    count_kn_minus_csplit,
     recognize_and_build_cent_tree,
 )
 from .tree_engine import (
@@ -66,7 +65,6 @@ __all__ = [
     "CentTree",
     "recognize_and_build_cent_tree",
     "cent_function",
-    "count_kn_minus_csplit",
     "NotQuasiThresholdError",
     "kirchhoff_count",
     "cst_matrix_count",

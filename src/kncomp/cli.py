@@ -31,6 +31,7 @@ ENGINE_METHODS = ("tree", "qt", "csplit")
 ORACLE_METHODS = ("kirchhoff", "cst-matrix", "enumerate")
 BENCH_FAMILIES = ("path", "star", "caterpillar", "random-tree", "random-qt")
 NOT_A_TREE = "--method tree: subtrahend is not a tree"
+NOT_CSPLIT = "--method csplit: subtrahend is not a complete split graph"
 
 
 class CliError(Exception):
@@ -83,8 +84,8 @@ def _seed() -> int:
 
 def _load_problem(args, method: str) -> Problem:
     """Build the Problem from --h or --csplit for `method`, the count's
-    --method or verify's --against. A complete split graph is not built
-    when that method is the enumeration oracle and its guard refuses n."""
+    --method or verify's --against. A complete split graph is built only
+    once n passes the host check and, for enumeration, that oracle's guard."""
     if args.h is not None:
         try:
             with open(args.h, encoding="utf-8") as fh:
@@ -96,31 +97,36 @@ def _load_problem(args, method: str) -> Problem:
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
     else:
+        sizes = _csplit_sizes(args)
         if method == "enumerate":
             _check_enumerable(args.n)
-        h = oracle.csplit_graph(*_csplit_sizes(args.csplit))
+        h = oracle.csplit_graph(*sizes)
     try:
         return Problem(args.n, h)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _csplit_sizes(spec: str) -> tuple[int, int]:
-    """(K, S) from a --csplit 'K,S' argument."""
-    parts = spec.split(",")
+def _csplit_sizes(args) -> tuple[int, int]:
+    """(K, S) from --csplit 'K,S', once the host K_n holds K + S vertices."""
+    parts = args.csplit.split(",")
     if len(parts) != 2:
-        raise CliError(f"--csplit expects 'K,S', got {spec!r}")
+        raise CliError(f"--csplit expects 'K,S', got {args.csplit!r}")
     try:
         size_k, size_s = int(parts[0]), int(parts[1])
     except ValueError:
-        raise CliError(f"--csplit expects integers, got {spec!r}") from None
+        raise CliError(f"--csplit expects integers, got {args.csplit!r}") from None
     if size_k < 1 or size_s < 0:
         raise CliError("--csplit needs K >= 1 and S >= 0")
+    try:
+        check_host_size(args.n, size_k + size_s)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return size_k, size_s
 
 
-def _graphless_csplit(args) -> tuple[int, int] | None:
-    """(K, S) when `count --csplit K,S` counts from the sizes alone, else None.
+def _graphless_csplit(args) -> tuple[list, list] | None:
+    """The node layout when `count --csplit K,S` counts from it alone, else None.
 
     An oracle needs the graph. So does a tree (K = 1, or K = 2 with S = 0)
     under auto or tree, which the tree engine counts; its graph has linear
@@ -129,14 +135,10 @@ def _graphless_csplit(args) -> tuple[int, int] | None:
     """
     if args.csplit is None or args.method in ORACLE_METHODS:
         return None
-    size_k, size_s = _csplit_sizes(args.csplit)
+    size_k, size_s = _csplit_sizes(args)
     if args.method in ("auto", "tree") and (size_k == 1 or (size_k, size_s) == (2, 0)):
         return None
-    try:
-        check_host_size(args.n, size_k + size_s)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return size_k, size_s
+    return oracle.csplit_layout(size_k, size_s)
 
 
 def _run_oracle(method: str, problem: Problem) -> int:
@@ -162,10 +164,10 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
     """Count with `method`; returns (tau, method_used, fallback_reason).
 
     `auto` tries tree, then builds the quasi-threshold node tree once and
-    labels the count `csplit` when that tree has the complete split shape,
-    `qt` otherwise; it falls back to the Kirchhoff oracle, with the reason
-    recorded, when H is not quasi-threshold or is disconnected. An explicit
-    method never falls back: an unmet precondition is a PreconditionError.
+    counts it with `_run_layout`; it falls back to the Kirchhoff oracle,
+    with the reason recorded, when H is not quasi-threshold or is
+    disconnected. An explicit method never falls back: an unmet
+    precondition is a PreconditionError.
     """
     if method in ORACLE_METHODS:
         return _run_oracle(method, problem), method, None
@@ -177,12 +179,11 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
             if not auto:
                 raise PreconditionError(NOT_A_TREE) from None
     # method is auto, qt or csplit
-    not_csplit = "--method csplit: subtrahend is not a complete split graph"
     try:
         ct = qt_engine.recognize_and_build_cent_tree(problem.h)
     except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
         if method == "csplit":
-            raise PreconditionError(not_csplit) from None
+            raise PreconditionError(NOT_CSPLIT) from None
         if method == "qt":
             raise PreconditionError(f"--method qt: {exc}") from None
         if isinstance(exc, NotQuasiThresholdError):
@@ -190,28 +191,29 @@ def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
         else:
             reason = "subtrahend is disconnected"
         return oracle.kirchhoff_count(complement_in_host(problem)), "kirchhoff", reason
-    used = "csplit" if method != "qt" and ct.is_complete_split else "qt"
-    if method == "csplit" and used != "csplit":
-        raise PreconditionError(not_csplit)
-    return qt_engine.count_layout(ct.parents, ct.mults, problem.n), used, None
+    return _run_layout(method, ct.parents, ct.mults, problem.n)
 
 
-def _run_csplit(method: str, n: int, size_k: int, size_s: int) -> tuple[int, str, None]:
-    """`_run` for a complete split subtrahend that is not a tree, from its
-    sizes: the label is the one `_run` reads off its node tree."""
+def _run_layout(method: str, parents, mults, n: int) -> tuple[int, str, None]:
+    """Count a quasi-threshold subtrahend, not a tree, from its node layout
+    with engine `method`: labelled `csplit` when the layout is complete
+    split and `method` is not qt, else `qt`."""
     if method == "tree":
         raise PreconditionError(NOT_A_TREE)
-    used = "qt" if method == "qt" else "csplit"
-    return qt_engine.count_kn_minus_csplit(n, size_k, size_s), used, None
+    split = qt_engine.is_complete_split(parents, mults)
+    if method == "csplit" and not split:
+        raise PreconditionError(NOT_CSPLIT)
+    used = "csplit" if split and method != "qt" else "qt"
+    return qt_engine.count_layout(parents, mults, n), used, None
 
 
 def cmd_count(args) -> int:
-    sizes = _graphless_csplit(args)
-    problem = None if sizes else _load_problem(args, args.method)
+    layout = _graphless_csplit(args)
+    problem = None if layout else _load_problem(args, args.method)
     start = time.perf_counter()
-    if sizes:
-        n, p = args.n, sum(sizes)
-        tau, used, reason = _run_csplit(args.method, n, *sizes)
+    if layout:
+        n, p = args.n, sum(layout[1])
+        tau, used, reason = _run_layout(args.method, *layout, n)
     else:
         n, p = problem.n, problem.h.vertex_count
         tau, used, reason = _run(args.method, problem)

@@ -127,9 +127,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
-
     def edges(self) -> list:
         """All edges as (u, v) with u < v, in lexicographic order."""
         return [(u, v) for u in self.vertices() for v in self._adj[u] if u < v]
@@ -404,9 +401,12 @@ class Problem:
 
 
 def check_host_size(n: int, p: int) -> None:
-    """Raise ValueError unless a host K_n can hold a subtrahend on p vertices."""
+    """Raise ValueError unless a host K_n, at most MAX_VERTEX_COUNT vertices,
+    can hold a subtrahend on p vertices."""
     if n < 1:
         raise ValueError(f"host size must be at least 1, got {n}")
+    if n > MAX_VERTEX_COUNT:
+        raise ValueError(f"host size {n} exceeds the limit of {MAX_VERTEX_COUNT}")
     if p > n:
         raise ValueError(f"subtrahend has {p} vertices but the host has only {n}")
 

@@ -37,6 +37,7 @@ __all__ = [
     "cycle_graph",
     "complete_graph",
     "caterpillar_graph",
+    "csplit_layout",
     "csplit_graph",
     "all_graphs",
     "random_graph",
@@ -389,13 +390,19 @@ def caterpillar_graph(k: int) -> Graph:
     return Graph(k, edges)
 
 
-def csplit_graph(size_k: int, size_s: int) -> Graph:
-    """Complete split graph: clique on 1..size_k joined to the independent
-    set size_k+1..size_k+size_s. It is the layout of a root with size_k
-    members and size_s children of one member each."""
+def csplit_layout(size_k: int, size_s: int) -> tuple[list, list]:
+    """Node layout (parents, mults) of the complete split graph with a
+    clique of size_k vertices and an independent set of size_s: a root with
+    size_k members and size_s children of one member each."""
     if size_k < 1 or size_s < 0:
         raise ValueError("clique part >= 1 and independent part >= 0 required")
-    return graph_from_cent_layout([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s)
+    return [0, 0] + [1] * size_s, [0, size_k] + [1] * size_s
+
+
+def csplit_graph(size_k: int, size_s: int) -> Graph:
+    """Complete split graph: clique on 1..size_k joined to the independent
+    set size_k+1..size_k+size_s, expanded from `csplit_layout`."""
+    return graph_from_cent_layout(*csplit_layout(size_k, size_s))
 
 
 def all_graphs(k: int):

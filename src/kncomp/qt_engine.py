@@ -27,10 +27,10 @@ pivots,
 
 A complete split graph (clique K joined to an independent set S) is the
 quasi-threshold graph whose node tree is trivial: a root holding K and one
-single-vertex leaf per vertex of S (`CentTree.is_complete_split`). Its
-spectrum reproduces the closed form
-tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|, which
-`count_kn_minus_csplit` evaluates from the sizes alone.
+single-vertex leaf per vertex of S (`is_complete_split`). Its spectrum
+reproduces the closed form
+tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|, so
+`count_layout` counts it from that layout alone, with no graph built.
 
 The paper's rational recursion `cent_function`, which `bench` and the
 acceptance checks run, evaluates children before parents (descending node
@@ -61,17 +61,17 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .arith import ExactField, tau_from_determinant
-from .graph import Graph, check_host_size, is_connected
+from .graph import Graph, is_connected
 
 __all__ = [
     "NotQuasiThresholdError",
     "CentTree",
+    "is_complete_split",
     "recognize_and_build_cent_tree",
     "CentFunctionValues",
     "cent_function",
     "cent_tau",
     "count_layout",
-    "count_kn_minus_csplit",
 ]
 
 
@@ -107,12 +107,12 @@ class CentTree:
     def node_count(self) -> int:
         return len(self.parents) - 1
 
-    @property
-    def is_complete_split(self) -> bool:
-        """True when the graph is complete split: every node other than the
-        root is a child of the root holding one vertex (or the root is the
-        only node)."""
-        return all(p == 1 and m == 1 for p, m in zip(self.parents[2:], self.mults[2:]))
+
+def is_complete_split(parents, mults) -> bool:
+    """True when a node layout is that of a complete split graph: every node
+    other than the root is a child of the root holding one vertex (or the
+    root is the only node)."""
+    return all(p == 1 and m == 1 for p, m in zip(parents[2:], mults[2:]))
 
 
 def recognize_and_build_cent_tree(q: Graph) -> CentTree:
@@ -128,7 +128,7 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     node are universal in their piece, so they share one degree; a piece
     whose rest is connected has no universal vertex, so no internal node has
     a single child; and the pieces partition V(q). Complete split graphs come
-    out as the trivial tree that `CentTree.is_complete_split` tests for.
+    out as the trivial tree that `is_complete_split` tests for.
     """
     p = q.vertex_count
     if p < 1:
@@ -294,14 +294,3 @@ def count_layout(parents, mults, n: int) -> int:
     for mu, mult in spectrum.items():
         det *= (n - mu) ** mult
     return tau_from_determinant(n, mass[1], det)
-
-
-def count_kn_minus_csplit(n: int, size_k: int, size_s: int) -> int:
-    """Exact tau(K_n - H) for the complete split graph with clique part of
-    size_k vertices and independent part of size_s vertices."""
-    if size_k < 1:
-        raise ValueError("clique part needs at least one vertex")
-    if size_s < 0:
-        raise ValueError(f"negative independent-part size {size_s}")
-    check_host_size(n, size_k + size_s)
-    return count_layout([0, 0] + [1] * size_s, [0, size_k] + [1] * size_s, n)

@@ -16,6 +16,7 @@ from kncomp.oracle import (
     all_labeled_trees,
     complete_graph,
     csplit_graph,
+    csplit_layout,
     cst_matrix_count,
     cycle_graph,
     enumerate_count,
@@ -29,11 +30,7 @@ from kncomp.oracle import (
     rational_determinant,
     star_graph,
 )
-from kncomp.qt_engine import (
-    cent_function,
-    count_kn_minus_csplit,
-    recognize_and_build_cent_tree,
-)
+from kncomp.qt_engine import cent_function, count_layout, recognize_and_build_cent_tree
 from kncomp.tree_engine import count_kn_minus_tree
 
 from conftest import (
@@ -191,19 +188,19 @@ def test_criterion_6_complete_split_closed_form():
                         * Fraction(n - size_k) ** (size_s - 1)
                         * Fraction(n - p) ** size_k
                     )
-                csplit = count_kn_minus_csplit(n, size_k, size_s)
+                layout = count_layout(*csplit_layout(size_k, size_s), n)
                 engine = qt_count(Problem(n, g))
-                if not closed == csplit == engine:
+                if not closed == layout == engine:
                     _report(
                         6,
                         False,
-                        f"closed form {closed}, csplit {csplit}, qt {engine} "
+                        f"closed form {closed}, layout {layout}, qt {engine} "
                         f"at K={size_k}, S={size_s}, n={n}",
                     )
                 if n == p and size_s >= 1 and closed != 0:
                     _report(6, False, f"expected 0 at n=p={p} with S={size_s}")
                 checked += 1
-    _report(6, True, f"complete split closed form == csplit == qt engine on {checked} cases")
+    _report(6, True, f"complete split closed form == layout count == qt engine on {checked} cases")
 
 
 def test_criterion_7_known_special_cases():
@@ -285,7 +282,7 @@ def test_criterion_7_paper_closed_forms():
 
 def test_criterion_7_closed_forms_at_twenty_thousand():
     # Far past Kirchhoff: the tree engine on the path (k = n) and the star
-    # (n = k + 1, since its count at n = k is 0), the csplit count on K_k,
+    # (n = k + 1, since its count at n = k is 0), the layout count of K_k,
     # and the p x p cst-matrix oracle on C_20 and 10 disjoint edges.
     k = 20_000
     star = Problem(k + 1, star_graph(k))
@@ -293,7 +290,7 @@ def test_criterion_7_closed_forms_at_twenty_thousand():
     cases = [
         ("P_k", count_kn_minus_tree(Problem(k, path_graph(k))), k, k, det_path(k, k)),
         ("K_1,k-1", count_kn_minus_tree(star), k + 1, k, det_star(k - 1, k + 1)),
-        ("K_k", count_kn_minus_csplit(k + 3, k, 0), k + 3, k, det_complete(k, k + 3)),
+        ("K_k", count_layout(*csplit_layout(k, 0), k + 3), k + 3, k, det_complete(k, k + 3)),
         ("C_20", cst_matrix_count(Problem(k, cycle_graph(20))), k, 20, det_cycle(20, k)),
         ("10K_2", cst_matrix_count(edges), k, 20, det_disjoint_edges(10, k)),
     ]

@@ -267,6 +267,9 @@ def test_parse_and_validation_errors_exit_1(tmp_path, capsys):
     assert code == 1 and "host" in err
     code, _, err = run(capsys, ["count", "--n", "4", "--csplit", "nope"])
     assert code == 1
+    for spec, message in (("0,2", "K >= 1"), ("1,-1", "S >= 0"), ("2,2", "host")):
+        code, _, err = run(capsys, ["count", "--n", "3", "--csplit", spec])
+        assert code == 1 and message in err, spec
     binary = tmp_path / "binary.el"
     binary.write_bytes(b"\xff\xfe")
     code, _, err = run(capsys, ["count", "--n", "4", "--h", str(binary)])
@@ -294,7 +297,7 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
 
 def has_induced_p4_or_c4(g: Graph) -> bool:
     for quad in combinations(g.vertices(), 4):
-        degrees = sorted(sum(g.has_edge(u, v) for v in quad if v != u) for u in quad)
+        degrees = sorted(sum(v in g.neighbors(u) for v in quad if v != u) for u in quad)
         if degrees in ([1, 1, 2, 2], [2, 2, 2, 2]):
             return True
     return False
@@ -398,6 +401,34 @@ def test_enumerate_guard_comes_before_the_csplit_graph(capsys, monkeypatch):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert "enumeration guard: n = 100001 exceeds 8 vertices" in err
+
+
+def test_host_size_comes_before_the_csplit_graph(capsys, monkeypatch):
+    def no_graph(*_):
+        raise AssertionError("the graph was built before the host check")
+
+    # The graph would have about 3.75 * 10^9 edges.
+    monkeypatch.setattr(oracle, "csplit_graph", no_graph)
+    given = ["--n", "5", "--csplit", "50000,50000"]
+    for argv in (
+        ["count", *given, "--method", "kirchhoff"],
+        ["verify", *given, "--method", "auto", "--against", "kirchhoff"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "subtrahend has 100000 vertices but the host has only 5" in err
+
+
+def test_host_size_is_bounded(tmp_path, capsys):
+    edge = write(tmp_path, "edge.el", "2 1\n1 2\n")
+    for given in (["--h", edge], ["--csplit", "1,1"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["count", "--n", "10000001", *given])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "host size 10000001 exceeds the limit of 10000000" in err
+    with pytest.raises(ValueError, match="host size"):
+        Problem(10**7 + 1, Graph(1))
 
 
 def test_bench_emits_csv(capsys):

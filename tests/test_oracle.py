@@ -35,7 +35,7 @@ def laplacian_minor(g: Graph):
     """The full Laplacian of g less its last row and column."""
     n = g.vertex_count
     return [
-        [g.degree(v) if u == v else -int(g.has_edge(v, u)) for u in range(1, n)]
+        [g.degree(v) if u == v else -int(u in g.neighbors(v)) for u in range(1, n)]
         for v in range(1, n)
     ]
 

@@ -14,6 +14,7 @@ from kncomp.oracle import (
     all_graphs,
     complete_graph,
     csplit_graph,
+    csplit_layout,
     cycle_graph,
     graph_from_cent_layout,
     kirchhoff_count,
@@ -27,8 +28,8 @@ from kncomp.qt_engine import (
     NotQuasiThresholdError,
     cent_function,
     cent_tau,
-    count_kn_minus_csplit,
     count_layout,
+    is_complete_split,
     recognize_and_build_cent_tree,
 )
 
@@ -47,7 +48,7 @@ def figure_like_graph() -> Graph:
 
 def has_induced_p4_or_c4(g: Graph) -> bool:
     for quad in combinations(g.vertices(), 4):
-        inner = [(u, v) for u, v in combinations(quad, 2) if g.has_edge(u, v)]
+        inner = [(u, v) for u, v in combinations(quad, 2) if v in g.neighbors(u)]
         if len(inner) == 3:
             degs = sorted(sum(v in e for e in inner) for v in quad)
             if degs == [1, 1, 2, 2]:
@@ -144,8 +145,8 @@ def test_count_rejects_p4():
 
 
 def test_csplit_closed_form_examples():
-    assert count_kn_minus_csplit(4, 1, 3) == 0
-    assert count_kn_minus_csplit(5, 1, 3) == 16
+    assert count_layout(*csplit_layout(1, 3), 4) == 0
+    assert count_layout(*csplit_layout(1, 3), 5) == 16
     problem = Problem(5, csplit_graph(1, 3))
     assert kirchhoff_count(complement_in_host(problem)) == 16
 
@@ -153,18 +154,9 @@ def test_csplit_closed_form_examples():
 def test_csplit_empty_stable_set_delegates_to_complete_graph():
     for p in range(1, 6):
         for n in range(p, 9):
-            assert count_kn_minus_csplit(n, p, 0) == qt_count(
+            assert count_layout(*csplit_layout(p, 0), n) == qt_count(
                 Problem(n, complete_graph(p))
             )
-
-
-def test_csplit_validates_input():
-    with pytest.raises(ValueError):
-        count_kn_minus_csplit(3, 0, 2)
-    with pytest.raises(ValueError):
-        count_kn_minus_csplit(3, 2, 2)
-    with pytest.raises(ValueError):
-        count_kn_minus_csplit(3, 1, -1)
 
 
 def test_csplit_matches_qt_engine():
@@ -173,7 +165,7 @@ def test_csplit_matches_qt_engine():
             p = size_k + size_s
             for n in (p, p + 2):
                 g = csplit_graph(size_k, size_s)
-                assert count_kn_minus_csplit(n, size_k, size_s) == qt_count(
+                assert count_layout(*csplit_layout(size_k, size_s), n) == qt_count(
                     Problem(n, g)
                 )
 
@@ -188,9 +180,10 @@ def has_complete_split_degrees(g: Graph) -> bool:
 
 def node_tree_is_complete_split(g: Graph) -> bool:
     try:
-        return recognize_and_build_cent_tree(g).is_complete_split
+        ct = recognize_and_build_cent_tree(g)
     except ValueError:  # not quasi-threshold, or disconnected
         return False
+    return is_complete_split(ct.parents, ct.mults)
 
 
 def test_complete_split_shape_of_the_node_tree():
@@ -217,7 +210,7 @@ def test_many_pieces_are_split_in_linear_time():
     ct = recognize_and_build_cent_tree(g)
     tau = count_layout(ct.parents, ct.mults, leaves + 1)
     assert time.perf_counter() - start < 2.0
-    assert ct.node_count == leaves and not ct.is_complete_split
+    assert ct.node_count == leaves and not is_complete_split(ct.parents, ct.mults)
     assert ct.members[2] == (2, 3)
     assert tau == 0  # n = p: the star's centre is isolated in K_n - H
 
