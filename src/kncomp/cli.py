@@ -1,7 +1,8 @@
 """Command-line front end: count, verify, bench.
 
-Exit codes: 0 success, 1 input/validation/usage errors, 2 method precondition
-unmet without fallback, 3 verification mismatch.
+Exit codes: 0 success, 1 input/validation/usage errors or standard output
+closed early, 2 method precondition unmet without fallback, 3 verification
+mismatch.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import oracle, qt_engine, tree_engine
 from .arith import ExactField, PrimeField, decimal_text, random_prime
@@ -50,14 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class CountResult:
-    tau: int
-    method_used: str
-    fallback_reason: str | None
-    elapsed_ms: float
-    n: int
-    k_or_p: int
+class CountResult(
+    namedtuple("CountResult", "tau method_used fallback_reason elapsed_ms n k_or_p")
+):
+    """One count's answer: tau, the method used, the fallback reason or None,
+    the count's time in ms, the host size n and the subtrahend's order."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -360,10 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # Standard output closed early. Point its descriptor at devnull so
+        # that the interpreter's final flush of what is left raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

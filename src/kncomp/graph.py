@@ -17,8 +17,7 @@ line and "\n" after it; one pattern checks a window of it.
 import operator
 import re
 from bisect import bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import repeat
 
 __all__ = [
@@ -389,15 +388,14 @@ def is_tree(g: Graph) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(namedtuple("Problem", "n h")):
     """The pair (n, h): count spanning trees of K_n minus the subtrahend h."""
 
-    n: int
-    h: Graph
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_host_size(self.n, self.h.vertex_count)
+    def __new__(cls, n: int, h: Graph):
+        check_host_size(n, h.vertex_count)
+        return super().__new__(cls, n, h)
 
 
 def check_host_size(n: int, p: int) -> None:

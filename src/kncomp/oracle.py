@@ -18,7 +18,6 @@ from .arith import NonIntegerProductError
 from .graph import Graph, Problem
 
 __all__ = [
-    "bareiss_determinant",
     "rational_determinant",
     "kirchhoff_count",
     "cst_matrix",
@@ -26,7 +25,6 @@ __all__ = [
     "enumerate_count",
     "ENUMERATION_LIMIT",
     "prufer_decode",
-    "prufer_encode",
     "random_labeled_tree",
     "all_labeled_trees",
     "random_cent_layout",
@@ -42,39 +40,6 @@ __all__ = [
     "all_graphs",
     "random_graph",
 ]
-
-
-def bareiss_determinant(rows) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Every division in the Bareiss recurrence is exact, so all intermediates
-    stay integers (no rational arithmetic involved).
-    """
-    m = [list(row) for row in rows]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(size - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, size):
-                if m[r][col]:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[col][col]
-        pivot_row = m[col]
-        for r in range(col + 1, size):
-            row = m[r]
-            head = row[col]
-            for c in range(col + 1, size):
-                row[c] = (row[c] * pivot - head * pivot_row[c]) // prev
-            row[col] = 0
-        prev = pivot
-    return sign * m[-1][-1]
 
 
 def rational_determinant(rows) -> Fraction:
@@ -254,31 +219,6 @@ def prufer_decode(seq, k: int) -> Graph:
             leaf = ptr
     edges.append((leaf, k))
     return Graph(k, edges)
-
-
-def prufer_encode(t: Graph) -> tuple:
-    """Inverse of prufer_decode (t must be a tree on >= 2 vertices)."""
-    import heapq
-
-    k = t.vertex_count
-    if k < 2:
-        raise ValueError("encoding needs at least two vertices")
-    degree = [0] * (k + 1)
-    removed = [False] * (k + 1)
-    for v in t.vertices():
-        degree[v] = t.degree(v)
-    leaves = [v for v in t.vertices() if degree[v] == 1]
-    heapq.heapify(leaves)
-    seq = []
-    for _ in range(k - 2):
-        v = heapq.heappop(leaves)
-        u = next(w for w in t.neighbors(v) if not removed[w])
-        seq.append(u)
-        removed[v] = True
-        degree[u] -= 1
-        if degree[u] == 1:
-            heapq.heappush(leaves, u)
-    return tuple(seq)
 
 
 def random_labeled_tree(k: int, seed: int) -> Graph:

@@ -57,8 +57,7 @@ and `cent_tau` assembles the count as
     tau(K_n - Q) = n^(n+k-p-2) * prod(p_i * (n - d_i - 1)^(p_i - 1) * phi_i).
 """
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 
 from .arith import ExactField, tau_from_determinant
 from .graph import Graph, is_connected
@@ -86,18 +85,19 @@ class NotQuasiThresholdError(ValueError):
         super().__init__(f"component {self.witness} has no universal vertex")
 
 
-@dataclass
-class CentTree:
+class CentTree(namedtuple("CentTree", "parents mults members")):
     """Universal-vertex decomposition of a connected quasi-threshold graph,
     as a node layout; every list is indexed by node id, entry 0 unused.
 
     Node ids follow discovery order: the root is node 1, then breadth-first
     with sibling pieces ordered by smallest member vertex.
+
+    parents  -- parent node id, 0 for the root
+    mults    -- multiplicity: the number of member vertices
+    members  -- member vertices, ascending
     """
 
-    parents: list  # parent node id, 0 for the root
-    mults: list  # multiplicity: the number of member vertices
-    members: list  # member vertices, ascending
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
@@ -215,12 +215,10 @@ def _shape(parents, mults) -> tuple:
     return children, above, mass
 
 
-@dataclass
-class CentFunctionValues:
+class CentFunctionValues(namedtuple("CentFunctionValues", "sigma phi")):
     """Per-node recursion values, indexed by node id (entry 0 unused)."""
 
-    sigma: list
-    phi: list
+    __slots__ = ()
 
 
 def cent_function(ct: CentTree, n: int, field=None) -> CentFunctionValues:

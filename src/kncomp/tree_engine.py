@@ -34,7 +34,7 @@ as a final value but cannot appear in a denominator; that case raises
 ZeroDivisionError.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import ExactField, tau_from_determinant
 from .graph import Graph, Problem
@@ -54,8 +54,7 @@ class NotATreeError(ValueError):
     """Input graph is not a tree (connected with k-1 edges)."""
 
 
-@dataclass
-class StDecomposition:
+class StDecomposition(namedtuple("StDecomposition", "levels labels order ch deg")):
     """Leaf-peeling structure of a tree; lists are indexed 1..k, entry 0 unused.
 
     levels  -- vertex ids removed at each peel, ascending within a level
@@ -65,11 +64,7 @@ class StDecomposition:
     deg     -- degree of v in the tree
     """
 
-    levels: list
-    labels: list
-    order: list
-    ch: list
-    deg: list
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:

@@ -1,3 +1,4 @@
+import heapq
 import random
 import sys
 from collections import Counter
@@ -23,6 +24,62 @@ def int_digit_limit(limit: int):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def bareiss_determinant(rows) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination.
+
+    Every division in the Bareiss recurrence is exact, so all intermediates
+    stay integers (no rational arithmetic involved).
+    """
+    m = [list(row) for row in rows]
+    size = len(m)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for col in range(size - 1):
+        if m[col][col] == 0:
+            for r in range(col + 1, size):
+                if m[r][col]:
+                    m[col], m[r] = m[r], m[col]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[col][col]
+        pivot_row = m[col]
+        for r in range(col + 1, size):
+            row = m[r]
+            head = row[col]
+            for c in range(col + 1, size):
+                row[c] = (row[c] * pivot - head * pivot_row[c]) // prev
+            row[col] = 0
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def prufer_encode(t: Graph) -> tuple:
+    """Inverse of oracle.prufer_decode (t must be a tree on >= 2 vertices)."""
+    k = t.vertex_count
+    if k < 2:
+        raise ValueError("encoding needs at least two vertices")
+    degree = [0] * (k + 1)
+    removed = [False] * (k + 1)
+    for v in t.vertices():
+        degree[v] = t.degree(v)
+    leaves = [v for v in t.vertices() if degree[v] == 1]
+    heapq.heapify(leaves)
+    seq = []
+    for _ in range(k - 2):
+        v = heapq.heappop(leaves)
+        u = next(w for w in t.neighbors(v) if not removed[w])
+        seq.append(u)
+        removed[v] = True
+        degree[u] -= 1
+        if degree[u] == 1:
+            heapq.heappush(leaves, u)
+    return tuple(seq)
 
 
 def qt_count(problem: Problem) -> int:

@@ -1,10 +1,13 @@
 import decimal
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from conftest import int_digit_limit, lucas, random_permutation, relabel
@@ -139,6 +142,44 @@ def test_north_star_sized_tau_is_rendered_exactly(capsys):
     p = size_k + size_s
     closed_form = pow(n, n - p - 1, q) * pow(n - size_k, size_s - 1, q) * pow(n - p, size_k, q)
     assert residue_of_text(text, q) == closed_form % q == pow(50001, 49999, q)
+
+
+def fresh_interpreter(*args, **kwargs) -> subprocess.Popen:
+    """A new Python process that imports kncomp from this tree's src/."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def test_count_ends_quietly_when_stdout_closes_early():
+    # The 234,945-digit tau overflows the pipe, so the count is still
+    # writing when the reader closes it.
+    proc = fresh_interpreter(
+        "-m", "kncomp.cli", "count", "--n", "100001", "--csplit", "50000,50000",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(100).startswith(b'{"tau": "')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # Against this interpreter's own start-up modules, so a site hook that
+    # loads one of them does not count.
+    proc = fresh_interpreter(
+        "-c",
+        "import sys; before = set(sys.modules); import kncomp.cli; "
+        "print(*sorted(set(sys.modules) - before))",
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    added = set(proc.communicate(timeout=60)[0].split())
+    assert proc.returncode == 0 and "kncomp.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_cst_matrix_reaches_a_north_star_host(tmp_path, capsys):

@@ -447,7 +447,13 @@ def test_problem_validates_sizes():
         Problem(2, Graph(3))
     with pytest.raises(ValueError):
         Problem(0, Graph(0))
-    Problem(3, Graph(3))  # k = n is allowed
+    with pytest.raises(ValueError):
+        Problem(n=2, h=Graph(3))
+    problem = Problem(3, Graph(3))  # k = n is allowed
+    assert problem == Problem(n=3, h=Graph(3))
+    assert repr(problem) == "Problem(n=3, h=Graph(vertices=3, edges=0))"
+    with pytest.raises(AttributeError):
+        problem.n = 4
 
 
 def test_complement_single_edge_in_triangle():

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qt_count
+from conftest import bareiss_determinant, prufer_encode, qt_count
 from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
     all_labeled_trees,
-    bareiss_determinant,
     caterpillar_graph,
     complete_graph,
     cst_matrix,
@@ -21,7 +20,6 @@ from kncomp.oracle import (
     kirchhoff_count,
     path_graph,
     prufer_decode,
-    prufer_encode,
     random_graph,
     random_labeled_tree,
     random_qt_graph,
