@@ -82,11 +82,33 @@ def _seed() -> int:
         raise CliError(f"KNCOMP_SEED must be an integer, got {raw!r}") from None
 
 
-def _load_problem(args, method: str) -> Problem:
-    """Build the Problem from --h or --csplit for `method`, the count's
-    --method or verify's --against. A complete split graph is built only
-    once n passes the host check and, for enumeration, that oracle's guard."""
-    if args.h is not None:
+def _subtrahend(args, method: str):
+    """The subtrahend of --h or --csplit for `method`, the count's --method
+    or verify's --against: the node layout (parents, mults) when an engine
+    counts `--csplit K,S` from it alone, else the Problem.
+
+    The host size, and for enumeration that oracle's guard, are checked
+    before a file is read or a graph is built. An oracle needs the graph.
+    So does a tree (K = 1, or K = 2 with S = 0) under auto or tree, which
+    the tree engine counts; its graph has linear size. The graph of any
+    other complete split subtrahend has order K^2 + K*S edges, which the
+    count does not need.
+    """
+    sizes = None if args.csplit is None else _csplit_sizes(args.csplit)
+    try:
+        check_host_size(args.n, sum(sizes) if sizes else 0)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if sizes and method not in ORACLE_METHODS:
+        if method not in ("auto", "tree") or not (sizes[0] == 1 or sizes == (2, 0)):
+            return oracle.csplit_layout(*sizes)
+    if method == "enumerate" and args.n > oracle.ENUMERATION_LIMIT:
+        raise CliError(
+            f"enumeration guard: n = {args.n} exceeds {oracle.ENUMERATION_LIMIT} vertices"
+        )
+    if sizes:
+        h = oracle.csplit_graph(*sizes)
+    else:
         try:
             with open(args.h, encoding="utf-8") as fh:
                 text = fh.read()
@@ -96,49 +118,24 @@ def _load_problem(args, method: str) -> Problem:
             h = parse_edge_list(text)
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
-    else:
-        sizes = _csplit_sizes(args)
-        if method == "enumerate":
-            _check_enumerable(args.n)
-        h = oracle.csplit_graph(*sizes)
     try:
         return Problem(args.n, h)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
-def _csplit_sizes(args) -> tuple[int, int]:
-    """(K, S) from --csplit 'K,S', once the host K_n holds K + S vertices."""
-    parts = args.csplit.split(",")
+def _csplit_sizes(spec: str) -> tuple[int, int]:
+    """(K, S) from the --csplit text 'K,S'."""
+    parts = spec.split(",")
     if len(parts) != 2:
-        raise CliError(f"--csplit expects 'K,S', got {args.csplit!r}")
+        raise CliError(f"--csplit expects 'K,S', got {spec!r}")
     try:
         size_k, size_s = int(parts[0]), int(parts[1])
     except ValueError:
-        raise CliError(f"--csplit expects integers, got {args.csplit!r}") from None
+        raise CliError(f"--csplit expects integers, got {spec!r}") from None
     if size_k < 1 or size_s < 0:
         raise CliError("--csplit needs K >= 1 and S >= 0")
-    try:
-        check_host_size(args.n, size_k + size_s)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     return size_k, size_s
-
-
-def _graphless_csplit(args) -> tuple[list, list] | None:
-    """The node layout when `count --csplit K,S` counts from it alone, else None.
-
-    An oracle needs the graph. So does a tree (K = 1, or K = 2 with S = 0)
-    under auto or tree, which the tree engine counts; its graph has linear
-    size. The graph of any other complete split subtrahend has order
-    K^2 + K*S edges, which the count does not need.
-    """
-    if args.csplit is None or args.method in ORACLE_METHODS:
-        return None
-    size_k, size_s = _csplit_sizes(args)
-    if args.method in ("auto", "tree") and (size_k == 1 or (size_k, size_s) == (2, 0)):
-        return None
-    return oracle.csplit_layout(size_k, size_s)
 
 
 def _run_oracle(method: str, problem: Problem) -> int:
@@ -147,17 +144,8 @@ def _run_oracle(method: str, problem: Problem) -> int:
     if method == "cst-matrix":
         return oracle.cst_matrix_count(problem)
     if method == "enumerate":
-        _check_enumerable(problem.n)
         return oracle.enumerate_count(complement_in_host(problem))
     raise CliError(f"unknown method {method!r}")
-
-
-def _check_enumerable(n: int) -> None:
-    """The enumeration oracle's guard on the host size."""
-    if n > oracle.ENUMERATION_LIMIT:
-        raise CliError(
-            f"enumeration guard: n = {n} exceeds {oracle.ENUMERATION_LIMIT} vertices"
-        )
 
 
 def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
@@ -208,15 +196,15 @@ def _run_layout(method: str, parents, mults, n: int) -> tuple[int, str, None]:
 
 
 def cmd_count(args) -> int:
-    layout = _graphless_csplit(args)
-    problem = None if layout else _load_problem(args, args.method)
+    n = args.n
+    subtrahend = _subtrahend(args, args.method)
     start = time.perf_counter()
-    if layout:
-        n, p = args.n, sum(layout[1])
-        tau, used, reason = _run_layout(args.method, *layout, n)
+    if isinstance(subtrahend, Problem):
+        p = subtrahend.h.vertex_count
+        tau, used, reason = _run(args.method, subtrahend)
     else:
-        n, p = problem.n, problem.h.vertex_count
-        tau, used, reason = _run(args.method, problem)
+        p = sum(subtrahend[1])
+        tau, used, reason = _run_layout(args.method, *subtrahend, n)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     print(CountResult(tau, used, reason, elapsed_ms, n, p).to_json())
     if args.verbose:
@@ -230,7 +218,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load_problem(args, args.against)
+    problem = _subtrahend(args, args.against)
     engine_tau, used, _ = _run(args.method, problem)
     if args.debug_force_wrong:
         engine_tau += 1

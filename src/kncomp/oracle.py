@@ -12,7 +12,7 @@ arithmetic-free answer.
 
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from .arith import NonIntegerProductError
 from .graph import Graph, Problem
@@ -33,7 +33,6 @@ __all__ = [
     "path_graph",
     "star_graph",
     "cycle_graph",
-    "complete_graph",
     "caterpillar_graph",
     "csplit_layout",
     "csplit_graph",
@@ -268,28 +267,39 @@ def graph_from_cent_layout(parents, mults) -> Graph:
 
     Members are numbered consecutively in node-id order, so the neighbors
     of a member of node i are the vertex runs of i's ancestors, i itself and
-    i's descendants, taken in ascending node id, less the member.
+    i's descendants, taken in ascending node id, less the member. The
+    one-member leaves under one parent share one row.
     """
     k = len(parents) - 1
     first = list(accumulate(mults[1:], initial=1))  # node i starts at first[i - 1]
-    related = [[i] for i in range(k + 1)]
+    runs = [range(0), *map(range, first, first[1:])]
+    below = {j: [] for j in set(parents)}  # descendants of each node with a child
     for i in range(1, k + 1):
         j = parents[i]
         while j:
-            related[i].append(j)
-            related[j].append(i)
+            below[j].append(i)
             j = parents[j]
+    shared = {}  # parent -> the row of its one-member leaves
     adj = [[]]
     for i in range(1, k + 1):
-        row = []
-        for j in sorted(related[i]):
-            if j == i:
-                at = len(row)
-            row += range(first[j - 1], first[j])
+        single = mults[i] == 1 and i not in below
+        if single and parents[i] in shared:
+            adj.append(shared[parents[i]])
+            continue
+        nodes = [i, *below.get(i, ())]
+        j = parents[i]
+        while j:
+            nodes.append(j)
+            j = parents[j]
+        nodes.sort()
+        row = list(chain.from_iterable(map(runs.__getitem__, nodes)))
+        at = row.index(first[i - 1])
         for pos in range(at, at + mults[i]):
             ns = row.copy()
             del ns[pos]
             adj.append(ns)
+        if single:
+            shared[parents[i]] = ns
     return Graph._from_lists(first[-1] - 1, adj)
 
 
@@ -316,10 +326,6 @@ def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(k, [(i, i + 1) for i in range(1, k)] + [(1, k)])
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(k, combinations(range(1, k + 1), 2))
 
 
 def caterpillar_graph(k: int) -> Graph:

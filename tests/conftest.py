@@ -111,6 +111,10 @@ def disjoint_edges(m: int) -> Graph:
     return Graph(2 * m, [(2 * i - 1, 2 * i) for i in range(1, m + 1)])
 
 
+def complete_graph(k: int) -> Graph:
+    return Graph(k, combinations(range(1, k + 1), 2))
+
+
 def tau_from_closed_form(n: int, p: int, det: int) -> int:
     """tau(K_n - H) = n^(n-p-2) * det(n*I - L(H)) for H on p vertices; for
     n < p + 2 the power divides det, and the division must be exact."""

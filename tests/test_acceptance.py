@@ -14,7 +14,6 @@ from kncomp.graph import Graph, Problem, complement_in_host
 from kncomp.oracle import (
     all_graphs,
     all_labeled_trees,
-    complete_graph,
     csplit_graph,
     csplit_layout,
     cst_matrix_count,
@@ -34,6 +33,7 @@ from kncomp.qt_engine import cent_function, count_layout, recognize_and_build_ce
 from kncomp.tree_engine import count_kn_minus_tree
 
 from conftest import (
+    complete_graph,
     disjoint_edges,
     lucas,
     qt_count,

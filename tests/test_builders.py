@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    complete_graph,
     edgewise_complement_in_host,
     edgewise_csplit_graph,
     edgewise_graph_from_cent_layout,
@@ -15,7 +16,6 @@ from conftest import (
 from kncomp.graph import Graph, Problem, complement_in_host, serialize_edge_list
 from kncomp.oracle import (
     all_graphs,
-    complete_graph,
     csplit_graph,
     graph_from_cent_layout,
     random_cent_layout,
@@ -33,6 +33,35 @@ def test_layout_graphs_match_the_edgewise_expansion():
     for _ in range(500):
         layout = random_cent_layout(rng.randint(1, 14), rng.randint(1, 5), rng)
         assert_same(graph_from_cent_layout(*layout), edgewise_graph_from_cent_layout(*layout))
+
+
+def layout_with_leaf_fans(rng: random.Random):
+    """A random layout, each node given a fan of 0 to 6 one-member leaves,
+    its node ids then shuffled so that the fans of different parents, at
+    several depths, interleave in id order."""
+    parents, mults = random_cent_layout(rng.randint(1, 14), rng.randint(1, 4), rng)
+    for node in range(1, len(parents)):
+        for _ in range(rng.randint(0, 6)):
+            parents.append(node)
+            mults.append(1)
+    rename = [0, *rng.sample(range(1, len(parents)), len(parents) - 1)]
+    new_parents, new_mults = [0] * len(parents), [0] * len(parents)
+    for old in range(1, len(parents)):
+        new_parents[rename[old]] = rename[parents[old]]
+        new_mults[rename[old]] = mults[old]
+    return new_parents, new_mults
+
+
+def test_one_member_leaf_fans_match_the_edgewise_expansion():
+    rng = random.Random(23)
+    for _ in range(300):
+        layout = layout_with_leaf_fans(rng)
+        assert_same(graph_from_cent_layout(*layout), edgewise_graph_from_cent_layout(*layout))
+    # Fans under a chain of one-member nodes, three levels deep, and under
+    # the root of several members, with one-member roots beside them.
+    parents = [0, 0, 1, 2, 3] + [1] * 5 + [2] * 4 + [3] * 6 + [4] * 3 + [0] * 2
+    mults = [0, 3, 1, 1, 1] + [1] * 20
+    assert_same(graph_from_cent_layout(parents, mults), edgewise_graph_from_cent_layout(parents, mults))
 
 
 @pytest.mark.parametrize("size_k", range(1, 9))

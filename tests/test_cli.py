@@ -301,8 +301,14 @@ def test_parse_and_validation_errors_exit_1(tmp_path, capsys):
     bad = write(tmp_path, "bad.el", "2 1\n1 1\n")
     code, _, err = run(capsys, ["count", "--n", "4", "--h", bad])
     assert code == 1 and "loop" in err
-    code, _, err = run(capsys, ["count", "--n", "4", "--h", str(tmp_path / "missing.el")])
-    assert code == 1
+    missing = str(tmp_path / "missing.el")
+    code, _, err = run(capsys, ["count", "--n", "4", "--h", missing])
+    assert code == 1 and "cannot read" in err
+    # The host size and the enumeration guard are checked before the file is read.
+    code, _, err = run(capsys, ["count", "--n", "10000001", "--h", missing])
+    assert code == 1 and "host size 10000001 exceeds" in err
+    code, _, err = run(capsys, ["count", "--n", "9", "--h", missing, "--method", "enumerate"])
+    assert code == 1 and "enumeration guard" in err
     p3 = write(tmp_path, "p3.el", PATH3)
     code, _, err = run(capsys, ["count", "--n", "2", "--h", p3])
     assert code == 1 and "host" in err
@@ -418,14 +424,19 @@ def test_verify_forced_mismatch_exits_3(tmp_path, capsys):
     assert json.loads(out)["equal"] is False
 
 
-def test_verify_enumerate_guard_exits_1(tmp_path, capsys):
+def test_verify_enumerate_guard_exits_1(tmp_path, capsys, monkeypatch):
+    def not_called(*_):
+        raise AssertionError("the subtrahend was read or counted before the guard")
+
+    monkeypatch.setattr(cli, "parse_edge_list", not_called)
+    monkeypatch.setattr(tree_engine, "count_kn_minus_tree", not_called)
     p3 = write(tmp_path, "p3.el", PATH3)
     code, _, err = run(
         capsys,
         ["verify", "--n", "9", "--h", p3, "--method", "tree", "--against", "enumerate"],
     )
     assert code == 1
-    assert "guard" in err
+    assert "enumeration guard: n = 9 exceeds 8 vertices" in err
 
 
 def test_enumerate_guard_comes_before_the_csplit_graph(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import complete_graph
 from kncomp import graph
 from kncomp.graph import (
     EdgeListParseError,
@@ -18,7 +19,7 @@ from kncomp.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from kncomp.oracle import complete_graph, csplit_graph, path_graph
+from kncomp.oracle import csplit_graph, path_graph
 
 
 @st.composite

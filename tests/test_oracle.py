@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_determinant, prufer_encode, qt_count
+from conftest import bareiss_determinant, complete_graph, prufer_encode, qt_count
 from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
     all_labeled_trees,
     caterpillar_graph,
-    complete_graph,
     cst_matrix,
     cst_matrix_count,
     cycle_graph,

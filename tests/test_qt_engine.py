@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_node_tree, qt_count, random_permutation, relabel
+from conftest import check_node_tree, complete_graph, qt_count, random_permutation, relabel
 from kncomp.arith import PrimeField, random_prime
 from kncomp.graph import Graph, Problem, complement_in_host, is_connected
 from kncomp.oracle import (
     all_graphs,
-    complete_graph,
     csplit_graph,
     csplit_layout,
     cycle_graph,
