@@ -6,19 +6,21 @@ order, so parse/serialize round-trips are exact.
 
 The parser takes lines as str.splitlines() breaks them, tokens as str.split()
 separates them and integers as int() reads them: each line after the header
-is blank or holds two tokens. It reads any text it accepts in place, one
-window of lines at a time, and builds its Graph there. Only text it rejects
-is read again, line by line in the same windows, to report the first
-malformed line. Canonical text, which the serializer writes, has "k m" and
+is blank or holds two tokens. It reads any text it accepts in place, and
+any file it accepts from the file, one window of lines at a time, and builds
+its Graph there. Only text it rejects is read again, line by line in the
+same windows, to report the first malformed line; a file it rejects is read
+whole first. Canonical text, which the serializer writes, has "k m" and
 every "u v" in plain decimal without leading zeros, one space inside each
 line and "\n" after it; one pattern checks a window of it.
 """
 
 import operator
+import os
 import re
 from bisect import bisect_right
 from collections import defaultdict, namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 
 __all__ = [
     "Graph",
@@ -36,15 +38,22 @@ __all__ = [
 MAX_VERTEX_COUNT = 10**7
 # Canonical lines, which this pattern checks faster than splitting them does.
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
-# The line breaks of str.splitlines(), "\r\n" one of them; windows are cut
-# after one, so a window never ends between "\r" and "\n". Leading with the
-# class keeps a search as fast as the class alone, which "\r\n|[...]" is not.
-_BREAK = re.compile(r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029](?:(?<=\r)\n)?")
+# The characters after which str.splitlines() breaks a line.
+_BREAKS = r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
+# A line break, "\r\n" one of them; windows of text are cut after one, so a
+# window never ends between "\r" and "\n". Leading with the class keeps a
+# search as fast as the class alone, which "\r\n|[...]" is not.
+_BREAK = re.compile(_BREAKS + r"(?:(?<=\r)\n)?")
+# Everything up to the last line break of a piece of a file. A file opened
+# with universal newlines never gives a piece that ends in the "\r" of an
+# "\r\n"; one that did would only add a blank line to the next window.
+_LAST_BREAK = re.compile(r"(?s:.*)" + _BREAKS)
 # The parser checks and splits the lines after the header this many
 # characters at a time, cut after a line break, so neither their tokens nor
-# the matcher's stack (about 180 bytes a line: 0.35 MB for a 16 KiB window
-# of 1,860 canonical lines, 16 MB for 90,000) scale with the file.
-_CHUNK_CHARS = 1 << 14
+# the matcher's stack scale with the file. The stack takes about 185 bytes
+# a line: 0.12 MB for a 4 KiB window of 625 lines of the complete split
+# graph csplit(1000, 1000), 0.46 MB for a 16 KiB one, 16 MB for 90,000.
+_CHUNK_CHARS = 1 << 12
 
 
 class EdgeListParseError(ValueError):
@@ -142,8 +151,14 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(source) -> Graph:
     """Parse "k m" header plus m "u v" lines into a validated Graph.
+
+    `source` is the text, or a text file open for reading at its start. A
+    file that can seek is read one window at a time, never whole. If it
+    fails any check, or does not decode, it is read again from its start
+    as one text, so it raises what its text raises; a file that cannot
+    seek, such as a pipe, is read as one text at once.
 
     Every malformed input raises EdgeListParseError carrying the offending
     line number: bad header, k < 1 or k > MAX_VERTEX_COUNT, non-integer
@@ -151,10 +166,17 @@ def parse_edge_list(text: str) -> Graph:
     that contradicts the header. Blank lines are ignored, and any whitespace
     separates tokens.
     """
-    g = _read(text)
+    if isinstance(source, str) or not source.seekable():
+        text = source if isinstance(source, str) else source.read()
+        g = _read(text)
+    else:
+        g = _read_file(source)
+        if g is None:
+            source.seek(0)
+            text = source.read()
     if g is None:
         _scan_lines(text)
-        raise AssertionError("the line scan accepts text that _read rejects")
+        raise AssertionError("the line scan accepts text that the reader rejects")
     return g
 
 
@@ -166,8 +188,32 @@ def _read(text: str) -> Graph | None:
     copied, so the peak is about the text plus the graph.
     """
     k, m, start = _head(text)
-    adj, table = _lists(k, m, text, start)
-    for window in _windows(text, start):
+    return _build(k, m, len(text) - start, _windows(text, start))
+
+
+def _read_file(fh) -> Graph | None:
+    """The Graph of the text file `fh`, read from its start one window at a
+    time, or None for a file that fails any check or does not decode.
+
+    The file's size in bytes, at least its length in characters, bounds
+    the edges for `_lists`; the peak is about the graph.
+    """
+    windows = _file_windows(fh)
+    try:
+        first = next(windows)
+        k, m, start = _head(first)
+        size = os.fstat(fh.fileno()).st_size - start
+        return _build(k, m, size, chain((first[start:],), windows))
+    except (EdgeListParseError, UnicodeDecodeError):
+        return None
+
+
+def _build(k: int, m: int, size: int, windows) -> Graph | None:
+    """The Graph of the header "k m" and the lines after it, at most `size`
+    characters given as `windows` that each end after a line break, or
+    None if a check fails."""
+    adj, table = _lists(k, m, size)
+    for window in windows:
         if not (
             _CANONICAL_LINES.fullmatch(window)
             or {0, 2}.issuperset(map(len, map(str.split, window.splitlines())))
@@ -214,9 +260,27 @@ def _windows(text: str, start: int):
         start = end
 
 
-def _lists(k: int, m: int, text: str, start: int):
+def _file_windows(fh):
+    """The text of `fh`, read _CHUNK_CHARS characters at a time, in windows
+    cut after the last line break of a read: the rest of that read opens
+    the next window, and a line that no read breaks joins them. Each window
+    but the last ends in a break."""
+    carry = []
+    while chunk := fh.read(_CHUNK_CHARS):
+        cut = _LAST_BREAK.match(chunk)
+        if cut is None:
+            carry.append(chunk)
+            continue
+        carry.append(chunk[: cut.end()])
+        window = "".join(carry)
+        carry = [chunk[cut.end() :]]
+        yield window
+    yield "".join(carry)
+
+
+def _lists(k: int, m: int, size: int):
     """Empty neighbor lists for `Graph._freeze` of the k vertices and at most
-    m edges of `text`, whose lines start at `start`, and a table of the
+    m edges of the `size` characters after a header, and a table of the
     names of 1..k that reads endpoints, checks their range and shares their
     ints; the table is empty when the lists are a dict.
 
@@ -226,7 +290,7 @@ def _lists(k: int, m: int, text: str, start: int):
     than the table; a larger k, such as a header "10000000 1", gets a dict
     that lists the vertices an edge touches only.
     """
-    if k > 2 * min(m, (len(text) - start + 1) // 4):
+    if k > 2 * min(m, (size + 1) // 4):
         return defaultdict(list), {}
     return [[] for _ in range(k + 1)], {str(v): v for v in range(1, k + 1)}
 
@@ -268,7 +332,7 @@ def _scan_lines(text: str) -> None:
     first line that repeats one.
     """
     k, m, start = _head(text)
-    adj, table = _lists(k, m, text, start)
+    adj, table = _lists(k, m, len(text) - start)
     edges = 0
     error = None
     line_no = 1

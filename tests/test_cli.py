@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import int_digit_limit, lucas, random_permutation, relabel
@@ -395,6 +396,33 @@ def test_verbose_summary_on_stderr(tmp_path, capsys):
     p3 = write(tmp_path, "p3.el", PATH3)
     _, _, err = run(capsys, ["count", "--n", "4", "--h", p3, "--verbose"])
     assert "via tree" in err
+
+
+def test_verbose_count_renders_tau_once(capsys):
+    # The stderr line reuses the JSON line's text of tau: a render of a
+    # 499,990-digit tau takes about 0.3 s.
+    with mock.patch.object(cli, "decimal_text", wraps=cli.decimal_text) as render:
+        code, out, err = run(capsys, ["count", "--n", "3001", "--csplit", "1,1", "--verbose"])
+    assert code == 0 and render.call_count == 1
+    assert err.startswith(f"tau(K_3001 - H) = {json.loads(out)['tau']} via ")
+
+
+def test_h_files_stream_and_keep_their_errors(tmp_path, capsys):
+    # A file from a pipe cannot seek and is read whole; one that does not
+    # decode reports that, before the malformed line or header it holds.
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(PATH3)
+    try:
+        code, out, _ = run(capsys, ["count", "--n", "4", "--h", f"/dev/fd/{read_end}"])
+    finally:
+        os.close(read_end)
+    assert code == 0 and json.loads(out)["tau"] == "3"
+    for name, head in (("line.el", b"3 1\n1 2 3\n"), ("header.el", b"nonsense\n")):
+        path = tmp_path / name
+        path.write_bytes(head + b"1 2\n" * 5000 + b"\xff\n")
+        code, _, err = run(capsys, ["count", "--n", "4", "--h", str(path)])
+        assert code == 1 and err.startswith(f"error: cannot read {path}: 'utf-8' codec"), name
 
 
 def test_verify_agreement(tmp_path, capsys):

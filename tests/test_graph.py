@@ -1,4 +1,7 @@
+import contextlib
+import os
 import sys
+import tempfile
 import tracemalloc
 from itertools import combinations, product
 from unittest import mock
@@ -414,6 +417,101 @@ def test_a_huge_header_allocates_about_the_graph(text):
     # take over 10 MiB more. The "\r\n" texts are not canonical, but the
     # same parser reads them in the same way.
     assert traced_graph(text)[1] < 2**20
+
+
+@contextlib.contextmanager
+def text_file(text):
+    """The path of a temporary file that holds exactly `text` in UTF-8."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "h.el")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        yield path
+
+
+def file_outcome(text, newline=None):
+    """The outcome of parse_edge_list on a file of `text`, opened as UTF-8
+    with `newline`: None, the universal newlines kncomp reads --h files
+    with, or "", which leaves every "\r\n" as it is."""
+    with text_file(text) as path, open(path, encoding="utf-8", newline=newline) as fh:
+        return parse_outcome(parse_edge_list, fh)
+
+
+@given(mutated_edge_lists(), st.integers(1, 16))
+def test_a_file_parses_as_its_text(case, chunk_chars):
+    # Windows of 1 to 16 characters cut the file's lines, and its "\r\n"
+    # under newline="", anywhere; a file that fails is read again as one
+    # text, so it raises the text's message at the text's line.
+    _, text = case
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+        expected = parse_outcome(parse_edge_list, text)
+        assert file_outcome(text) == expected
+        assert file_outcome(text, newline="") == expected
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 2, 5, graph._CHUNK_CHARS])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 2\r\n1 2\r\n2 3\r\n",
+        "3 2\r1 2\r2 3\r",
+        "3 2\r\n1 2\r\n2 3\r\n2 3\r\n",
+        "3 2\x851 2\x852 3\x85",
+        "3 2\x851 2\x851 2\x85",
+        "3 2\n1 2\n2 3",
+        "3 2\n1 2\n2 33",
+        "3 2" + " " * 10_000 + "\n1 2\n2 3\n",
+        "3 2" + " x" * 5_000 + "\n1 2\n2 3\n",
+        "3 2\n" + " " * 10_000 + "1 2\n2 3\n",
+        "",
+    ],
+    ids=[
+        "crlf",
+        "cr",
+        "crlf duplicate",
+        "nel",
+        "nel duplicate",
+        "no final newline",
+        "no final newline out of range",
+        "long header",
+        "long bad header",
+        "long edge line",
+        "empty",
+    ],
+)
+def test_file_line_ends_and_long_lines_parse_as_the_text(text, chunk_chars):
+    with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
+        expected = parse_outcome(parse_edge_list, text)
+        for newline in (None, ""):
+            assert file_outcome(text, newline) == expected
+
+
+def test_file_windows_end_after_a_line_break():
+    # A file whose lines all end in "\x85", which readline() does not stop
+    # at, is still read in windows of a read and the rest of a line, each
+    # line here at most 10 characters.
+    text = serialize_edge_list(path_graph(3000)).replace("\n", "\x85")
+    with text_file(text) as path, open(path, encoding="utf-8") as fh:
+        windows = list(graph._file_windows(fh))
+    assert "".join(windows) == text
+    assert len(windows) > 5
+    assert all(w.endswith("\x85") and len(w) < graph._CHUNK_CHARS + 10 for w in windows[:-1])
+
+
+def test_a_streamed_file_peaks_below_its_text_by_the_text():
+    # A path on 100,000 vertices, 1.2 MB of text: read from the file, the
+    # parse holds one window of it at a time instead of all of it. What it
+    # holds beyond that is the file object's buffers and the first window,
+    # about 19 KiB.
+    text = serialize_edge_list(path_graph(100_000))
+    assert len(text) > 2**20
+
+    def parse_file(read):
+        with open(path, encoding="utf-8") as fh:
+            return parse_edge_list(fh.read() if read else fh)
+
+    with text_file(text) as path:
+        assert traced_peak(parse_file, False) < traced_peak(parse_file, True) - len(text) + 2**15
 
 
 def test_graph_rejects_bad_edges():
