@@ -151,7 +151,8 @@ SWEEP_ALPHABET = ["1", "2", "0", "+", "_", "\u0661", "x", " ", "\t", "\n", "\r",
 
 
 @pytest.mark.parametrize("prefix", ["", "3 1\n"])
-@pytest.mark.parametrize("chunk_chars", [1, graph._CHUNK_CHARS])
+# One-character windows, the default window, and a 16 KiB one wider than it.
+@pytest.mark.parametrize("chunk_chars", [1, graph._CHUNK_CHARS, 16_384])
 def test_every_short_text_agrees_with_the_line_scan(prefix, chunk_chars):
     # Every text of at most four of these characters, alone or after a
     # header: the parser returns the graph of the tokens exactly when the
