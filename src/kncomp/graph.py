@@ -6,10 +6,10 @@ order, so parse/serialize round-trips are exact.
 
 The parser takes lines as str.splitlines() breaks them, tokens as str.split()
 separates them and integers as int() reads them: each line after the header
-is blank or holds two tokens. It reads any text it accepts in place, and
-any file it accepts from the file, one window of lines at a time, and builds
-its Graph there. Only text it rejects is read again, line by line in the
-same windows, to report the first malformed line; a file it rejects is read
+is blank or holds two tokens. A text, or a file that can seek, is read one
+window of lines at a time, never whole, and the Graph is built there. Only
+input it rejects is read again, from its start in the same windows, to
+report the first malformed line; a pipe, which cannot be read twice, is read
 whole first. Canonical text, which the serializer writes, has "k m" and
 every "u v" in plain decimal without leading zeros, one space inside each
 line and "\n" after it; one pattern checks a window of it.
@@ -19,7 +19,7 @@ import operator
 import os
 import re
 from bisect import bisect_right
-from collections import defaultdict, namedtuple
+from collections import defaultdict, deque, namedtuple
 from itertools import chain, repeat
 
 __all__ = [
@@ -40,16 +40,14 @@ MAX_VERTEX_COUNT = 10**7
 _CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
 # The characters after which str.splitlines() breaks a line.
 _BREAKS = r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
-# A line break, "\r\n" one of them; windows of text are cut after one, so a
-# window never ends between "\r" and "\n". Leading with the class keeps a
-# search as fast as the class alone, which "\r\n|[...]" is not.
+# A line break, "\r\n" one of them: where the header line ends.
 _BREAK = re.compile(_BREAKS + r"(?:(?<=\r)\n)?")
-# Everything up to the last line break of a piece of a file. A file opened
-# with universal newlines never gives a piece that ends in the "\r" of an
-# "\r\n"; one that did would only add a blank line to the next window.
-_LAST_BREAK = re.compile(r"(?s:.*)" + _BREAKS)
-# The parser checks and splits the lines after the header this many
-# characters at a time, cut after a line break, so neither their tokens nor
+# Everything up to the last line break of a piece of text, but for a "\r"
+# that ends the piece: the next piece may open with its "\n", and a window
+# cut between the two would hold a blank line too many.
+_LAST_BREAK = re.compile(r"(?s:.*)" + _BREAKS + r"(?!(?<=\r)\Z)")
+# The parser reads this many characters at a time and checks and splits
+# the lines in windows cut after a line break, so neither their tokens nor
 # the matcher's stack scale with the file. The stack takes about 185 bytes
 # a line: 0.12 MB for a 4 KiB window of 625 lines of the complete split
 # graph csplit(1000, 1000), 0.46 MB for a 16 KiB one, 16 MB for 90,000.
@@ -154,11 +152,12 @@ class Graph:
 def parse_edge_list(source) -> Graph:
     """Parse "k m" header plus m "u v" lines into a validated Graph.
 
-    `source` is the text, or a text file open for reading at its start. A
-    file that can seek is read one window at a time, never whole. If it
-    fails any check, or does not decode, it is read again from its start
-    as one text, so it raises what its text raises; a file that cannot
-    seek, such as a pipe, is read as one text at once.
+    `source` is the text, or a text file open for reading. A text, or a file
+    that can seek, is read from its start one window at a time, never whole:
+    once to build the Graph and, only if that fails a check, again in the
+    same windows to name the error. A decode error anywhere in a file raises
+    before any other error, as in a read of the whole file. A file that
+    cannot seek, such as a pipe, is read as one text at once.
 
     Every malformed input raises EdgeListParseError carrying the offending
     line number: bad header, k < 1 or k > MAX_VERTEX_COUNT, non-integer
@@ -166,46 +165,73 @@ def parse_edge_list(source) -> Graph:
     that contradicts the header. Blank lines are ignored, and any whitespace
     separates tokens.
     """
-    if isinstance(source, str) or not source.seekable():
-        text = source if isinstance(source, str) else source.read()
-        g = _read(text)
-    else:
-        g = _read_file(source)
-        if g is None:
-            source.seek(0)
-            text = source.read()
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    g = _build(*_open(source))
     if g is None:
-        _scan_lines(text)
+        _scan_lines(source)
         raise AssertionError("the line scan accepts text that the reader rejects")
     return g
 
 
-def _read(text: str) -> Graph | None:
-    """The Graph of `text`, or None for text that fails a check after its
-    header line, whose errors `_header` raises.
-
-    Reads `text` in place: only the header and one window at a time are
-    copied, so the peak is about the text plus the graph.
-    """
-    k, m, start = _head(text)
-    return _build(k, m, len(text) - start, _windows(text, start))
-
-
-def _read_file(fh) -> Graph | None:
-    """The Graph of the text file `fh`, read from its start one window at a
-    time, or None for a file that fails any check or does not decode.
-
-    The file's size in bytes, at least its length in characters, bounds
-    the edges for `_lists`; the peak is about the graph.
-    """
-    windows = _file_windows(fh)
+def _open(source):
+    """k and m from the header line of `source`, a text or a file, a bound
+    on the characters after that line, and the windows of the lines after
+    it. A malformed header raises, from a file only once the rest of it has
+    been read, so that a decode error anywhere wins."""
+    windows = _windows(source)
+    first = next(windows)
+    cut = _BREAK.search(first)
+    start = cut.end() if cut else len(first)
     try:
-        first = next(windows)
-        k, m, start = _head(first)
-        size = os.fstat(fh.fileno()).st_size - start
-        return _build(k, m, size, chain((first[start:],), windows))
-    except (EdgeListParseError, UnicodeDecodeError):
-        return None
+        k, m = _header(first[: cut.start()] if cut else first)
+    except EdgeListParseError:
+        deque(windows, maxlen=0)  # reads a file to its end
+        raise
+    # A file's size in bytes is at least its length in characters.
+    size = len(source) if isinstance(source, str) else os.fstat(source.fileno()).st_size
+    return k, m, size - start, chain((first[start:],), windows)
+
+
+def _windows(source):
+    """The text of `source`, a text or a file read from its start, in pieces
+    of _CHUNK_CHARS characters cut into windows after their last line break:
+    the rest of a piece opens the next window, and a line that no piece
+    breaks joins them. Each window but the last ends in a break."""
+    if isinstance(source, str):
+        pieces = (source[i : i + _CHUNK_CHARS] for i in range(0, len(source), _CHUNK_CHARS))
+    else:
+        source.seek(0)
+        pieces = iter(lambda: source.read(_CHUNK_CHARS), "")
+    carry = []
+    try:
+        for piece in pieces:
+            cut = _LAST_BREAK.match(piece)
+            if cut is None:
+                carry.append(piece)
+                continue
+            carry.append(piece[: cut.end()])
+            window = "".join(carry)
+            carry = [piece[cut.end() :]]
+            yield window
+    except UnicodeDecodeError as exc:
+        # The error counts bytes from the start of the piece that the file
+        # object decoded; a read of the whole file counts from its start.
+        raise _FileDecodeError(exc, source.buffer.tell() - len(exc.object)) from None
+    yield "".join(carry)
+
+
+class _FileDecodeError(UnicodeDecodeError):
+    """`exc`, raised by a decoder given a file's bytes from `offset` on,
+    worded with the positions in the file."""
+
+    def __init__(self, exc: UnicodeDecodeError, offset: int):
+        super().__init__(*exc.args)
+        self.offset = offset
+
+    def __str__(self):
+        where = r"(?<=position )\d+|(?<=\d-)\d+"
+        return re.sub(where, lambda n: str(int(n[0]) + self.offset), super().__str__())
 
 
 def _build(k: int, m: int, size: int, windows) -> Graph | None:
@@ -239,43 +265,6 @@ def _build(k: int, m: int, size: int, windows) -> Graph | None:
     except ValueError:  # a duplicate edge or a loop
         return None
     return g if g.edge_count == m else None
-
-
-def _head(text: str) -> tuple[int, int, int]:
-    """k and m from the header line of `text`, and where the line after it
-    starts; `_header` raises for a malformed header."""
-    cut = _BREAK.search(text)
-    if cut is None:
-        return (*_header(text), len(text))
-    return (*_header(text[: cut.start()]), cut.end())
-
-
-def _windows(text: str, start: int):
-    """The lines of `text` from `start` on, _CHUNK_CHARS characters and the
-    rest of a line at a time: each window but the last ends in a break."""
-    while start < len(text):
-        cut = _BREAK.search(text, start + _CHUNK_CHARS)
-        end = cut.end() if cut else len(text)
-        yield text[start:end]
-        start = end
-
-
-def _file_windows(fh):
-    """The text of `fh`, read _CHUNK_CHARS characters at a time, in windows
-    cut after the last line break of a read: the rest of that read opens
-    the next window, and a line that no read breaks joins them. Each window
-    but the last ends in a break."""
-    carry = []
-    while chunk := fh.read(_CHUNK_CHARS):
-        cut = _LAST_BREAK.match(chunk)
-        if cut is None:
-            carry.append(chunk)
-            continue
-        carry.append(chunk[: cut.end()])
-        window = "".join(carry)
-        carry = [chunk[cut.end() :]]
-        yield window
-    yield "".join(carry)
 
 
 def _lists(k: int, m: int, size: int):
@@ -320,24 +309,26 @@ def _header(line: str) -> tuple[int, int]:
     return k, m
 
 
-def _scan_lines(text: str) -> None:
+def _scan_lines(source) -> None:
     """The line scan behind parse_edge_list's errors: raises
-    EdgeListParseError for the first malformed line of `text`, if any.
+    EdgeListParseError for the first malformed line of `source`, a text or
+    a file that can seek, if any.
 
-    Walks the reader's windows, so it holds one window's lines at a time.
-    Every edge before the first other error goes into neighbor lists that
-    share their ints through the reader's name table, as the reader's own
-    do; sorted, as `Graph._freeze` sorts them, they show the pairs that
-    repeat, and only if some pair does is the text read again to name the
-    first line that repeats one.
+    Walks the reader's windows, so it holds one window's lines at a time,
+    and reads a file on to its end past a malformed line, so that a decode
+    error anywhere wins. Every edge before the first other error goes into
+    neighbor lists that share their ints through the reader's name table,
+    as the reader's own do; sorted, as `Graph._freeze` sorts them, they
+    show the pairs that repeat, and only if some pair does is the input
+    read again to name the first line that repeats one.
     """
-    k, m, start = _head(text)
-    adj, table = _lists(k, m, len(text) - start)
+    k, m, size, windows = _open(source)
+    adj, table = _lists(k, m, size)
     edges = 0
     error = None
     line_no = 1
     try:
-        for line_no, edge in _edges(text, start, k, table):
+        for line_no, edge in _edges(windows, k, table):
             if edge:
                 u, v = edge
                 adj[u].append(v)
@@ -345,10 +336,12 @@ def _scan_lines(text: str) -> None:
                 edges += 1
     except EdgeListParseError as exc:
         error = exc
+        deque(windows, maxlen=0)  # reads a file to its end
     repeated = _repeated_pairs(adj)
     if repeated:
+        *_, windows = _open(source)
         seen = set()
-        for line_no, edge in _edges(text, start, k, table):
+        for line_no, edge in _edges(windows, k, table):
             if edge in repeated:
                 if edge in seen:
                     raise EdgeListParseError(line_no, f"duplicate edge {edge}")
@@ -359,12 +352,12 @@ def _scan_lines(text: str) -> None:
         raise EdgeListParseError(line_no, f"header promised {m} edges, found {edges}")
 
 
-def _edges(text: str, start: int, k: int, table: dict):
-    """(line number, edge) for every line of `text` from `start` on, which
-    is line 2: the line's edge (u, v), u < v, with the ints of `table` for
-    the names it holds, or None for a blank line. Raises EdgeListParseError
-    at the first malformed line."""
-    lines = (line for window in _windows(text, start) for line in window.splitlines())
+def _edges(windows, k: int, table: dict):
+    """(line number, edge) for every line of `windows`, the lines from line
+    2 on: the line's edge (u, v), u < v, with the ints of `table` for the
+    names it holds, or None for a blank line. Raises EdgeListParseError at
+    the first malformed line."""
+    lines = (line for window in windows for line in window.splitlines())
     for line_no, line in enumerate(lines, start=2):
         parts = line.split()
         if not parts:

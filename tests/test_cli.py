@@ -408,16 +408,21 @@ def test_verbose_count_renders_tau_once(capsys):
 
 
 def test_h_files_stream_and_keep_their_errors(tmp_path, capsys):
-    # A file from a pipe cannot seek and is read whole; one that does not
-    # decode reports that, before the malformed line or header it holds.
-    read_end, write_end = os.pipe()
-    with os.fdopen(write_end, "w") as fh:
-        fh.write(PATH3)
-    try:
-        code, out, _ = run(capsys, ["count", "--n", "4", "--h", f"/dev/fd/{read_end}"])
-    finally:
-        os.close(read_end)
+    # A file from a pipe cannot seek and is read whole, and names its first
+    # malformed line as a file does; one that does not decode reports that,
+    # before the malformed line or header it holds.
+    outcomes = []
+    for text in (PATH3, "3 2\n1 2\n2 x\n"):
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+        try:
+            outcomes.append(run(capsys, ["count", "--n", "4", "--h", f"/dev/fd/{read_end}"]))
+        finally:
+            os.close(read_end)
+    (code, out, _), (bad_code, _, bad_err) = outcomes
     assert code == 0 and json.loads(out)["tau"] == "3"
+    assert bad_code == 1 and "line 3: non-integer endpoint" in bad_err
     for name, head in (("line.el", b"3 1\n1 2 3\n"), ("header.el", b"nonsense\n")):
         path = tmp_path / name
         path.write_bytes(head + b"1 2\n" * 5000 + b"\xff\n")

@@ -212,7 +212,7 @@ def test_a_header_and_one_full_window_parse_in_bulk(scale):
     header = f"{scale * (len(lines) + 1)} {len(lines)}\n"
     text = header + "".join(lines)
     assert text.find("\n", len(header) + graph._CHUNK_CHARS) == len(text) - 1
-    g = graph._read(text)
+    g = graph._build(*graph._open(text))
     assert g is not None
     assert g == scanned_outcome(text)
 
@@ -441,8 +441,8 @@ def file_outcome(text, newline=None):
 @given(mutated_edge_lists(), st.integers(1, 16))
 def test_a_file_parses_as_its_text(case, chunk_chars):
     # Windows of 1 to 16 characters cut the file's lines, and its "\r\n"
-    # under newline="", anywhere; a file that fails is read again as one
-    # text, so it raises the text's message at the text's line.
+    # under newline="", anywhere; a file that fails is scanned again in
+    # windows from the file, and raises the text's message at its line.
     _, text = case
     with mock.patch.object(graph, "_CHUNK_CHARS", chunk_chars):
         expected = parse_outcome(parse_edge_list, text)
@@ -493,26 +493,59 @@ def test_file_windows_end_after_a_line_break():
     # line here at most 10 characters.
     text = serialize_edge_list(path_graph(3000)).replace("\n", "\x85")
     with text_file(text) as path, open(path, encoding="utf-8") as fh:
-        windows = list(graph._file_windows(fh))
+        windows = list(graph._windows(fh))
     assert "".join(windows) == text
     assert len(windows) > 5
     assert all(w.endswith("\x85") and len(w) < graph._CHUNK_CHARS + 10 for w in windows[:-1])
 
 
 def test_a_streamed_file_peaks_below_its_text_by_the_text():
-    # A path on 100,000 vertices, 1.2 MB of text: read from the file, the
-    # parse holds one window of it at a time instead of all of it. What it
-    # holds beyond that is the file object's buffers and the first window,
-    # about 19 KiB.
-    text = serialize_edge_list(path_graph(100_000))
-    assert len(text) > 2**20
+    # A path on 100,000 vertices, 1.2 MB of text, as it is, with its last
+    # line repeated, and with a bad token halfway: read from the file, the
+    # parse and the line scan hold one window of it at a time instead of
+    # all of it. What they hold beyond that is the file object's buffers
+    # and the first window, about 19 KiB.
+    lines = serialize_edge_list(path_graph(100_000)).splitlines(keepends=True)
+    repeated = ["100000 100000\n", *lines[1:], lines[-1]]
+    bad = lines[:50_000] + ["1 2x\n"] + lines[50_001:]
 
     def parse_file(read):
         with open(path, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read() if read else fh)
+            return parse_outcome(parse_edge_list, fh.read() if read else fh)
 
-    with text_file(text) as path:
-        assert traced_peak(parse_file, False) < traced_peak(parse_file, True) - len(text) + 2**15
+    for text in ("".join(lines), "".join(repeated), "".join(bad)):
+        assert len(text) > 2**20
+        with text_file(text) as path:
+            assert parse_file(False) == parse_file(True)
+            assert traced_peak(parse_file, False) < traced_peak(parse_file, True) - len(text) + 2**15
+
+
+@pytest.mark.parametrize("newline", [None, ""])
+def test_a_decode_error_names_its_place_in_the_file(newline, tmp_path):
+    # Bad UTF-8 in a valid file, after a malformed header, line or repeated
+    # edge, and a sequence cut off by the end: the error is the one a read
+    # of the whole file raises, with the positions in the file, not in the
+    # piece the file object was decoding.
+    body = serialize_edge_list(path_graph(3000)).encode()
+    head, rest = body.split(b"\n", 1)
+    files = [
+        body[:5] + b"\xff" + body[5:],
+        body[:20_001] + b"\x80" + body[20_001:],
+        body + b"\xe2\x82",
+        b"nonsense\n" + rest + b"\xff",
+        head + b"\n1 2 3\n" + rest + b"\xc3\n",
+        body + b"2999 3000\n\xed\xa0\x80",
+    ]
+    path = tmp_path / "h.el"
+    for data in files:
+        path.write_bytes(data)
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            with pytest.raises(UnicodeDecodeError) as whole:
+                fh.read()
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            with pytest.raises(UnicodeDecodeError) as streamed:
+                parse_edge_list(fh)
+        assert str(streamed.value) == str(whole.value)
 
 
 def test_graph_rejects_bad_edges():
