@@ -84,15 +84,13 @@ def _seed() -> int:
 
 def _subtrahend(args, method: str):
     """The subtrahend of --h or --csplit for `method`, the count's --method
-    or verify's --against: the node layout (parents, mults) when an engine
-    counts `--csplit K,S` from it alone, else the Problem.
+    or verify's --against, and its order p. The subtrahend is the node
+    layout (parents, mults) of `--csplit K,S` for an engine, which labels
+    and counts it from the layout alone, else the Problem.
 
     The host size, and for enumeration that oracle's guard, are checked
-    before a file is read or a graph is built. An oracle needs the graph.
-    So does a tree (K = 1, or K = 2 with S = 0) under auto or tree, which
-    the tree engine counts; its graph has linear size. The graph of any
-    other complete split subtrahend has order K^2 + K*S edges, which the
-    count does not need.
+    before a file is read or a graph is built. Only an oracle needs the
+    graph of a complete split subtrahend, which has K^2 + K*S edges.
     """
     sizes = None if args.csplit is None else _csplit_sizes(args.csplit)
     try:
@@ -100,8 +98,7 @@ def _subtrahend(args, method: str):
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if sizes and method not in ORACLE_METHODS:
-        if method not in ("auto", "tree") or not (sizes[0] == 1 or sizes == (2, 0)):
-            return oracle.csplit_layout(*sizes)
+        return oracle.csplit_layout(*sizes), sum(sizes)
     if method == "enumerate" and args.n > oracle.ENUMERATION_LIMIT:
         raise CliError(
             f"enumeration guard: n = {args.n} exceeds {oracle.ENUMERATION_LIMIT} vertices"
@@ -117,7 +114,7 @@ def _subtrahend(args, method: str):
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
     try:
-        return Problem(args.n, h)
+        return Problem(args.n, h), h.vertex_count
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -146,63 +143,61 @@ def _run_oracle(method: str, problem: Problem) -> int:
     raise CliError(f"unknown method {method!r}")
 
 
-def _run(method: str, problem: Problem) -> tuple[int, str, str | None]:
-    """Count with `method`; returns (tau, method_used, fallback_reason).
+def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
+    """Count K_n minus `subtrahend`, a Problem or a node layout (parents,
+    mults), with `method`; returns (tau, method_used, fallback_reason).
 
-    `auto` tries tree, then builds the quasi-threshold node tree once and
-    counts it with `_run_layout`; it falls back to the Kirchhoff oracle,
-    with the reason recorded, when H is not quasi-threshold or is
-    disconnected. An explicit method never falls back: an unmet
-    precondition is a PreconditionError.
+    A Problem goes to an oracle, or under auto and tree to the tree engine.
+    Otherwise its node layout is built and counted as below; under auto, H
+    not quasi-threshold or disconnected goes to the Kirchhoff oracle with
+    the reason recorded. A layout is labelled `tree` under auto and tree
+    when its graph is a tree: complete split with a one-member root, or one
+    node of at most 2 members. Else it is `csplit` when complete split and
+    the method is not qt, else `qt`. An explicit method never falls back:
+    an unmet precondition is a PreconditionError.
     """
-    if method in ORACLE_METHODS:
-        return _run_oracle(method, problem), method, None
     auto = method == "auto"
-    if auto or method == "tree":
-        try:
-            return tree_engine.count_kn_minus_tree(problem), "tree", None
-        except tree_engine.NotATreeError:
-            if not auto:
-                raise PreconditionError(NOT_A_TREE) from None
-    # method is auto, qt or csplit
-    try:
-        ct = qt_engine.recognize_and_build_cent_tree(problem.h)
-    except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
-        if method == "csplit":
-            raise PreconditionError(NOT_CSPLIT) from None
-        if method == "qt":
-            raise PreconditionError(f"--method qt: {exc}") from None
-        if isinstance(exc, NotQuasiThresholdError):
-            reason = "subtrahend is not quasi-threshold"
-        else:
-            reason = "subtrahend is disconnected"
-        return oracle.kirchhoff_count(complement_in_host(problem)), "kirchhoff", reason
-    return _run_layout(method, ct.parents, ct.mults, problem.n)
-
-
-def _run_layout(method: str, parents, mults, n: int) -> tuple[int, str, None]:
-    """Count a quasi-threshold subtrahend, not a tree, from its node layout
-    with engine `method`: labelled `csplit` when the layout is complete
-    split and `method` is not qt, else `qt`."""
-    if method == "tree":
-        raise PreconditionError(NOT_A_TREE)
+    if isinstance(subtrahend, Problem):
+        if method in ORACLE_METHODS:
+            return _run_oracle(method, subtrahend), method, None
+        if auto or method == "tree":
+            try:
+                return tree_engine.count_kn_minus_tree(subtrahend), "tree", None
+            except tree_engine.NotATreeError:
+                if not auto:
+                    raise PreconditionError(NOT_A_TREE) from None
+        try:  # method is auto, qt or csplit
+            ct = qt_engine.recognize_and_build_cent_tree(subtrahend.h)
+        except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
+            if method == "csplit":
+                raise PreconditionError(NOT_CSPLIT) from None
+            if method == "qt":
+                raise PreconditionError(f"--method qt: {exc}") from None
+            if isinstance(exc, NotQuasiThresholdError):
+                reason = "subtrahend is not quasi-threshold"
+            else:
+                reason = "subtrahend is disconnected"
+            return oracle.kirchhoff_count(complement_in_host(subtrahend)), "kirchhoff", reason
+        subtrahend = ct.parents, ct.mults
+    parents, mults = subtrahend
     split = qt_engine.is_complete_split(parents, mults)
-    if method == "csplit" and not split:
+    tree = split and (mults[1] == 1 or len(mults) == 2 and mults[1] <= 2)
+    if tree and (auto or method == "tree"):
+        used = "tree"
+    elif method == "tree":
+        raise PreconditionError(NOT_A_TREE)
+    elif method == "csplit" and not split:
         raise PreconditionError(NOT_CSPLIT)
-    used = "csplit" if split and method != "qt" else "qt"
+    else:
+        used = "csplit" if split and method != "qt" else "qt"
     return qt_engine.count_layout(parents, mults, n), used, None
 
 
 def cmd_count(args) -> int:
     n = args.n
-    subtrahend = _subtrahend(args, args.method)
+    subtrahend, p = _subtrahend(args, args.method)
     start = time.perf_counter()
-    if isinstance(subtrahend, Problem):
-        p = subtrahend.h.vertex_count
-        tau, used, reason = _run(args.method, subtrahend)
-    else:
-        p = sum(subtrahend[1])
-        tau, used, reason = _run_layout(args.method, *subtrahend, n)
+    tau, used, reason = _run(args.method, subtrahend, n)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     line = CountResult(tau, used, reason, elapsed_ms, n, p).to_json()
     print(line)
@@ -219,8 +214,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _subtrahend(args, args.against)
-    engine_tau, used, _ = _run(args.method, problem)
+    problem, _ = _subtrahend(args, args.against)
+    engine_tau, used, _ = _run(args.method, problem, args.n)
     if args.debug_force_wrong:
         engine_tau += 1
     oracle_tau = _run_oracle(args.against, problem)

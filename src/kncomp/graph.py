@@ -286,14 +286,17 @@ def _lists(k: int, m: int, size: int):
 
 def _header(line: str) -> tuple[int, int]:
     """k and m from `line`, the first line of an edge list; raises
-    EdgeListParseError for a malformed header."""
-    if not line.strip():
-        raise EdgeListParseError(1, "missing 'k m' header")
-    header = line.split(maxsplit=2)  # a third token is enough to reject
-    if len(header) != 2:
+    EdgeListParseError for a malformed header.
+
+    The pattern's whitespace is the whitespace that str.split() splits at.
+    Its match copies the two tokens only, never the rest of a long line."""
+    header = re.fullmatch(r"\s*(\S+)\s+(\S+)\s*", line)
+    if header is None:
+        if not line or line.isspace():
+            raise EdgeListParseError(1, "missing 'k m' header")
         raise EdgeListParseError(1, f"expected 'k m' header, got {_quote(line)}")
     try:
-        k, m = int(header[0]), int(header[1])
+        k, m = int(header[1]), int(header[2])
     except ValueError:
         raise EdgeListParseError(1, f"non-integer header fields {_quote(line)}") from None
     if k < 1:

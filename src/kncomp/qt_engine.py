@@ -118,8 +118,8 @@ def is_complete_split(parents, mults) -> bool:
 def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     """Build the decomposition of q, or prove q is not quasi-threshold.
 
-    q must be connected; for disconnected subtrahends use the determinant
-    oracles component-free instead. Raises NotQuasiThresholdError with a
+    q must be connected; a disconnected subtrahend is counted by a
+    determinant oracle instead. Raises NotQuasiThresholdError with a
     witness piece when the peeling stalls, and ValueError when q is
     disconnected. Connectivity is checked only when the whole graph has no
     universal vertex, which every disconnected graph with p >= 2 lacks.

@@ -276,6 +276,23 @@ def test_csplit_count_needs_no_graph(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["method_used"] == "csplit"
     p = size_k + size_s
     assert read_tau(out) == n ** (n - p - 1) * (n - size_k) ** (size_s - 1) * (n - p) ** size_k
+    # Trees, labelled `tree` from the layout's shape under auto and tree. Their
+    # tau, up to the 499,996 digits of 100001^99999, is read modulo a seeded
+    # 61-bit prime: int(Decimal) of that text alone takes about 9 s.
+    q = random_prime(61, random.Random(61))
+    n = 100_002
+    for size_k, size_s in ((1, 0), (2, 0), (1, 3), (1, 100_000)):
+        for method in ("auto", "tree"):
+            argv = ["count", "--n", str(n), "--csplit", f"{size_k},{size_s}", "--method", method]
+            start = time.perf_counter()
+            code, out, _ = run(capsys, argv)
+            assert time.perf_counter() - start < 5.0, argv
+            assert code == 0 and json.loads(out)["method_used"] == "tree", argv
+            p = size_k + size_s
+            closed_form = (
+                pow(n, n - p - 1, q) * pow(n - size_k, size_s - 1, q) * pow(n - p, size_k, q)
+            )
+            assert residue_of_text(json.loads(out)["tau"], q) == closed_form % q, argv
 
 
 def test_csplit_and_qt_methods_read_the_node_tree_shape(tmp_path, capsys):
@@ -379,7 +396,7 @@ def test_auto_routes_every_small_subtrahend(capsys):
                 expected = ("csplit" if is_complete_split(h) else "qt", None)
             for n in (p, p + 1, p + 3):
                 problem = Problem(n, h)
-                tau, used, reason = cli._run("auto", problem)
+                tau, used, reason = cli._run("auto", problem, n)
                 assert (used, reason) == expected, (h, n)
                 assert tau == oracle.kirchhoff_count(complement_in_host(problem)), (h, n)
                 tally[used, reason] += 1

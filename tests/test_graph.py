@@ -192,8 +192,7 @@ def test_header_line_texts_agree_with_the_line_scan(text):
 
 def _one_window_of_path_lines() -> list:
     """Lines "u u+1" of a path, just enough that their last newline is the
-    first one at least _CHUNK_CHARS characters after the header: they end
-    exactly at the first window boundary."""
+    first one at least _CHUNK_CHARS characters after the header."""
     lines, size = [], 0
     while size <= graph._CHUNK_CHARS:
         u = len(lines) + 1
@@ -223,16 +222,24 @@ def test_a_header_and_one_full_window_parse_in_bulk(scale):
     [("2 1", "duplicate edge (1, 2)"), ("1 99999999", "out of range"), ("7 7", "loop")],
 )
 def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
+    # The first window ends after the last line break among the text's first
+    # _CHUNK_CHARS characters. The path lines that fit before it stay there,
+    # the header is padded with spaces to end them exactly at it, and the
+    # bad line opens the second window, before the other path lines.
     lines = _one_window_of_path_lines()
     k = scale * (len(lines) + 2)
-    rest = [f"{bad_line}\n", f"{k - 1} {k}\n"]
-    header = f"{k} {len(lines) + len(rest)}\n"
-    text = header + "".join(lines + rest)
-    boundary = text.find("\n", len(header) + graph._CHUNK_CHARS) + 1
+    header = f"{k} {len(lines) + 2}"
+    before = []
+    while len(header) + len("".join(before + lines[:1])) < graph._CHUNK_CHARS:
+        before.append(lines.pop(0))
+    header = header.ljust(graph._CHUNK_CHARS - len("".join(before)) - 1) + "\n"
+    text = header + "".join(before + [f"{bad_line}\n"] + lines + [f"{k - 1} {k}\n"])
+    boundary = len(next(graph._windows(text)))
+    assert boundary == graph._CHUNK_CHARS == len(header + "".join(before))
     assert text.startswith(f"{bad_line}\n", boundary)
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list(text)
-    assert err.value.line_no == len(lines) + 2
+    assert err.value.line_no == len(before) + 2
     assert fragment in str(err.value)
     assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
 
@@ -245,6 +252,7 @@ def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
         "3 2\n\n1 2\n   \n2\t3\n\n",
         " 3  2\n1 2\n2 3\n",
         "3 2\n1\u30002\n2\x1f3",  # str.split() separates at both; lines do not end
+        "\u20033\u3000\x1f2\xa0\n1 2\n2 3\n",  # in the header too
     ],
 )
 def test_other_whitespace_still_parses(text):
@@ -312,6 +320,24 @@ def test_a_long_first_line_is_not_split_into_tokens():
         1,
     )
     assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 4 * 2**20
+
+
+@pytest.mark.parametrize("source", ["text", "file"])
+def test_a_long_first_line_is_not_copied(source, tmp_path):
+    # A text of one line, 2.1 MB: the reader holds the pieces it read and
+    # the line they join into, and the header check copies only its two
+    # tokens. Stripping the line and splitting off its rest copied it twice
+    # more, a peak of three times the text.
+    text = "12 34 " * 350_000
+    assert parse_outcome(parse_edge_list, text)[1] == 1
+    if source == "file":
+        path = tmp_path / "h.el"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh:
+            peak = traced_peak(lambda f: parse_outcome(parse_edge_list, f), fh)
+    else:
+        peak = traced_peak(lambda t: parse_outcome(parse_edge_list, t), text)
+    assert peak < 2.2 * len(text)
 
 
 @pytest.mark.parametrize(
