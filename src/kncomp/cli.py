@@ -177,7 +177,7 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
                 reason = "subtrahend is not quasi-threshold"
             else:
                 reason = "subtrahend is disconnected"
-            return oracle.kirchhoff_count(complement_in_host(subtrahend)), "kirchhoff", reason
+            return _run_oracle("kirchhoff", subtrahend), "kirchhoff", reason
         subtrahend = ct.parents, ct.mults
     parents, mults = subtrahend
     split = qt_engine.is_complete_split(parents, mults)

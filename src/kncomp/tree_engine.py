@@ -9,17 +9,19 @@ subtree determinants
     D(v) = (n - d_v) * F(v) - sum(F(c) * prod(D(c') for c' in ch(v), c' != c)
                                   for c in ch(v))
 
-end at D(root) = det(n*I_k - L(T)). `count_kn_minus_tree` evaluates them in
-one leaf-peel pass: a queue peels the current leaves, each peeled vertex
-folds (D(v), F(v)) into its one unpeeled neighbor, and the last vertex
-peeled, a center of T, is the root. It never divides, so it has no zero
-pivots, and the only division is the exact one by n^(k+2-n) when
-k >= n - 1.
+end at D(root) = det(n*I_k - L(T)).
 
-`st_decompose` peels T level by level (removing all current leaves at
-once) and numbers the vertices level by level, so every vertex has at most
-one neighbor with a larger label. These peel levels and labels serve only
-the paper's recursion below.
+One FIFO peel (`_leaf_peel`) serves both evaluations: a queue peels the
+current leaves and gives the peel order, each vertex's parent (its one
+unpeeled neighbor when it is peeled) and each vertex's peel round. It
+holds the only tree check. `count_kn_minus_tree` folds (D(v), F(v)) into
+the parent along the peel order; the last vertex peeled, a center of T, is
+the root. It never divides, so it has no zero pivots, and the only division
+is the exact one by n^(k+2-n) when k >= n - 1. `st_decompose` groups the
+rounds into levels (the sets of leaves removed all at once) and numbers
+the vertices level by level, so every vertex has at most one neighbor with
+a larger label. These levels and labels serve only the paper's recursion
+below.
 
 `st_function` is the paper's rational form of the same elimination, with
 ch(i) the neighbors of i with smaller labels. With b = 1/n and
@@ -71,54 +73,65 @@ class StDecomposition(namedtuple("StDecomposition", "levels labels order ch deg"
         return len(self.labels) - 1
 
 
-def st_decompose(t: Graph) -> StDecomposition:
-    """Peel leaves level by level and label vertices in peel order.
+def _leaf_peel(t: Graph):
+    """Peel the leaves of the tree t through one FIFO queue.
 
-    Within a level vertices keep ascending original-id order; any fixed
-    within-level order yields the same count, this one makes runs
-    reproducible. The final level is the tree's center (1 or 2 vertices).
-    Raises NotATreeError unless t is a tree: a graph with k - 1 edges that
-    is not a tree contains a cycle, and no vertex of a cycle is ever peeled.
+    Returns (adj, order, parent, rounds): the neighbor lists, the peel
+    order, parent[v] the one neighbor still unpeeled when v is peeled (0 for
+    the last vertex) and rounds[v] the peel round of v, 0 for the leaves of t
+    and one more than the round whose peel made v a leaf. Lists are indexed
+    by vertex, entry 0 unused. The starting leaves are queued in ascending
+    order. Raises NotATreeError unless t is a tree: a graph with k - 1 edges
+    that is not a tree contains a cycle, and no vertex of a cycle is ever
+    peeled.
     """
     k = t.vertex_count
     if k < 1 or t.edge_count != k - 1:
         raise NotATreeError(f"graph with {k} vertices and {t.edge_count} edges is not a tree")
-    deg = [0] * (k + 1)
-    for v in t.vertices():
-        deg[v] = t.degree(v)
-
-    remaining = deg.copy()
-    removed = [False] * (k + 1)
-    levels = []
-    current = [v for v in t.vertices() if remaining[v] <= 1]
-    while current:
-        levels.append(current)
-        for v in current:
-            removed[v] = True
-        nxt = []
-        for v in current:
-            for u in t.neighbors(v):
-                if not removed[u]:
-                    remaining[u] -= 1
-                    if remaining[u] == 1:
-                        nxt.append(u)
-        current = sorted(nxt)
-
-    labels = [0] * (k + 1)
-    order = [0] * (k + 1)
-    t_label = 0
-    for level in levels:
-        for v in level:
-            t_label += 1
-            labels[v] = t_label
-            order[t_label] = v
-    if t_label != k:
+    adj = list(map(t.neighbors, range(k + 1)))
+    # rem[v] counts the unpeeled neighbors of v; peeling v sets it to 0, and
+    # an unpeeled neighbor of v counts v, so its count is at least 1.
+    rem = list(map(len, adj))
+    parent = [0] * (k + 1)
+    rounds = [0] * (k + 1)
+    order = [v for v in range(1, k + 1) if rem[v] <= 1]
+    for v in order:
+        rem[v] = 0
+        for u in adj[v]:
+            if rem[u]:
+                parent[v] = u
+                rem[u] -= 1
+                if rem[u] == 1:
+                    rounds[u] = rounds[v] + 1
+                    order.append(u)
+                break
+    if len(order) != k:
         raise NotATreeError(f"graph with {k} vertices and {k - 1} edges has a cycle")
+    return adj, order, parent, rounds
 
-    ch = [()] * (k + 1)
-    for v in t.vertices():
-        ch[v] = tuple(u for u in t.neighbors(v) if labels[u] < labels[v])
-    return StDecomposition(levels, labels, order, ch, deg)
+
+def st_decompose(t: Graph) -> StDecomposition:
+    """Peel leaves level by level and label vertices in peel order.
+
+    The levels are the rounds of `_leaf_peel`. Within a level vertices keep
+    ascending original-id order; any fixed within-level order yields the
+    same count, this one makes runs reproducible. The final level is the
+    tree's center (1 or 2 vertices). Raises NotATreeError unless t is a
+    tree.
+    """
+    adj, peel, _, rounds = _leaf_peel(t)
+    k = len(peel)
+    levels = [[] for _ in range(rounds[peel[-1]] + 1)]
+    for v in range(1, k + 1):
+        levels[rounds[v]].append(v)
+    order = [0]
+    for level in levels:
+        order += level
+    labels = [0] * (k + 1)
+    for label, v in enumerate(order):
+        labels[v] = label
+    ch = [()] + [tuple(u for u in adj[v] if labels[u] < labels[v]) for v in range(1, k + 1)]
+    return StDecomposition(levels, labels, order, ch, list(map(len, adj)))
 
 
 def st_function(dec: StDecomposition, n: int, field=None) -> list:
@@ -157,41 +170,26 @@ def st_tau(t: Graph, n: int, field=None):
 
 
 def count_kn_minus_tree(problem: Problem) -> int:
-    """Exact tau(K_n - T) for a tree subtrahend T, in one leaf-peel pass.
+    """Exact tau(K_n - T) for a tree subtrahend T, folded along one leaf peel.
 
-    A FIFO queue peels the current leaves, so every vertex is evaluated
-    after the subtrees hanging off it and the last vertex peeled is a
-    center of T. Raises NotATreeError for non-tree input, and
-    NonIntegerProductError if the final exact division leaves a remainder
-    (an engine bug).
+    `_leaf_peel` gives the peel order and parents, so every vertex is
+    evaluated after the subtrees hanging off it and folded into its parent,
+    and the last vertex peeled is a center of T. Raises NotATreeError for
+    non-tree input, and NonIntegerProductError if the final exact division
+    leaves a remainder (an engine bug).
     """
-    t, n = problem.h, problem.n
-    k = t.vertex_count
-    if k < 1 or t.edge_count != k - 1:
-        raise NotATreeError(f"graph with {k} vertices and {t.edge_count} edges is not a tree")
-    adj = list(map(t.neighbors, range(k + 1)))
-    deg = list(map(len, adj))
-    rem = deg.copy()  # unpeeled neighbors
+    n = problem.n
+    adj, order, parent, _ = _leaf_peel(problem.h)
     # prod[v] and cross[v] are F(v) and the sum in D(v) over the children
-    # folded into v so far. Peeling v sets both to None, which releases them
-    # and marks v peeled, so only the live frontier is kept.
-    prod = [1] * (k + 1)
-    cross = [0] * (k + 1)
-    queue = [v for v in range(1, k + 1) if deg[v] <= 1]
-    for peeled, v in enumerate(queue, 1):
+    # folded into v so far; peeling v releases both, so only the live
+    # frontier is kept. The root folds into the unused entry 0.
+    prod = [1] * len(adj)
+    cross = [0] * len(adj)
+    for v in order:
         f_v, c_v = prod[v], cross[v]
         prod[v] = cross[v] = None
-        d_v = (n - deg[v]) * f_v - c_v
-        if peeled == k:
-            return tau_from_determinant(n, k, d_v)
-        for u in adj[v]:
-            if prod[u] is not None:
-                break
-        else:  # v is a whole component, and other vertices remain
-            break
+        d_v = (n - len(adj[v])) * f_v - c_v
+        u = parent[v]
         cross[u] = cross[u] * d_v + f_v * prod[u]
         prod[u] *= d_v
-        rem[u] -= 1
-        if rem[u] == 1:
-            queue.append(u)
-    raise NotATreeError(f"graph with {k} vertices and {k - 1} edges has a cycle")
+    return tau_from_determinant(n, len(order), d_v)

@@ -70,7 +70,8 @@ NON_TREES = [
 
 @pytest.mark.parametrize("g", NON_TREES)
 def test_decompose_rejects_non_trees(g):
-    with pytest.raises(NotATreeError):
+    message = "has a cycle" if g.edge_count == g.vertex_count - 1 else "is not a tree"
+    with pytest.raises(NotATreeError, match=message):
         st_decompose(g)
 
 
@@ -202,6 +203,18 @@ def test_partition_and_orientation_properties(k, seed):
         expected = dec.deg[v] if dec.labels[v] == k else dec.deg[v] - 1
         assert len(dec.ch[v]) == expected
     assert sum(len(dec.ch[v]) for v in t.vertices()) == k - 1
+    # each level holds, ascending, every vertex with at most one neighbor
+    # outside the earlier levels
+    peeled = set()
+    for level in dec.levels:
+        leaves = [
+            v
+            for v in t.vertices()
+            if v not in peeled and sum(u not in peeled for u in t.neighbors(v)) <= 1
+        ]
+        assert level == leaves
+        peeled.update(level)
+    assert len(peeled) == k
 
 
 @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 10**6))
