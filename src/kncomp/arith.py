@@ -1,10 +1,12 @@
 """Exact and modular arithmetic used by the counting engines.
 
-Every count this package emits is an exact integer; `tau_from_determinant`
-is the one assembly step, n^(n-p-2) * det with an exact division when the
-exponent is negative. `decimal_text` writes a count as text through exact
-`decimal` arithmetic, never through `int.__str__`: CPython's int-to-string
-digit limit does not apply, and long counts convert in subquadratic time.
+Every count this package emits is an exact integer. The engines evaluate
+det(x*I_p - L(H)) of a p-vertex H at x = n, and `cli` turns that into the
+count with `tau_from_determinant`, the one assembly step: n^(n-p-2) * det,
+with an exact division when the exponent is negative. `decimal_text`
+writes a count as text through exact `decimal` arithmetic, never through
+`int.__str__`: CPython's int-to-string digit limit does not apply, and
+long counts convert in subquadratic time.
 
 The paper's rational recursions run through a small "field" object so the
 same code serves exact and modular runs: ExactField works in

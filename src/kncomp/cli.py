@@ -15,7 +15,7 @@ import time
 from collections import namedtuple
 
 from . import oracle, qt_engine, tree_engine
-from .arith import ExactField, PrimeField, decimal_text, random_prime
+from .arith import ExactField, PrimeField, decimal_text, random_prime, tau_from_determinant
 from .graph import (
     EdgeListParseError,
     Graph,
@@ -147,27 +147,33 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
     """Count K_n minus `subtrahend`, a Problem or a node layout (parents,
     mults), with `method`; returns (tau, method_used, fallback_reason).
 
-    A Problem goes to an oracle, or under auto and tree to the tree engine.
-    Otherwise its node layout is built and counted as below; under auto, H
-    not quasi-threshold or disconnected goes to the Kirchhoff oracle with
-    the reason recorded. A layout is labelled `tree` under auto and tree
-    when its graph is a tree: complete split with a one-member root, or one
-    node of at most 2 members. Else it is `csplit` when complete split and
-    the method is not qt, else `qt`. An explicit method never falls back:
-    an unmet precondition is a PreconditionError.
+    An oracle returns tau itself. An engine returns det(n*I_p - L(H)) for
+    the p-vertex H, and tau = n^(n-p-2) * det is assembled here, once per
+    count, by `tau_from_determinant`. A Problem goes to an oracle, or under
+    auto and tree to `tree_engine.tree_determinant`. Otherwise its node
+    layout is built and evaluated by `qt_engine.layout_determinant`, labelled
+    as below; under auto, H not quasi-threshold or disconnected goes to the
+    Kirchhoff oracle with the reason recorded. A layout is labelled `tree`
+    under auto and tree when its graph is a tree: complete split with a
+    one-member root, or one node of at most 2 members. Else it is `csplit`
+    when complete split and the method is not qt, else `qt`. An explicit
+    method never falls back: an unmet precondition is a PreconditionError.
     """
     auto = method == "auto"
     if isinstance(subtrahend, Problem):
         if method in ORACLE_METHODS:
             return _run_oracle(method, subtrahend), method, None
+        h = subtrahend.h
         if auto or method == "tree":
             try:
-                return tree_engine.count_kn_minus_tree(subtrahend), "tree", None
+                det = tree_engine.tree_determinant(h, n)
             except tree_engine.NotATreeError:
                 if not auto:
                     raise PreconditionError(NOT_A_TREE) from None
+            else:
+                return tau_from_determinant(n, h.vertex_count, det), "tree", None
         try:  # method is auto, qt or csplit
-            ct = qt_engine.recognize_and_build_cent_tree(subtrahend.h)
+            ct = qt_engine.recognize_and_build_cent_tree(h)
         except ValueError as exc:  # NotQuasiThresholdError, or H is disconnected
             if method == "csplit":
                 raise PreconditionError(NOT_CSPLIT) from None
@@ -190,7 +196,8 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
         raise PreconditionError(NOT_CSPLIT)
     else:
         used = "csplit" if split and method != "qt" else "qt"
-    return qt_engine.count_layout(parents, mults, n), used, None
+    det = qt_engine.layout_determinant(parents, mults, n)
+    return tau_from_determinant(n, sum(mults), det), used, None
 
 
 def cmd_count(args) -> int:

@@ -15,22 +15,25 @@ follow discovery order, so every parent precedes its children. The same
 layout feeds `oracle.graph_from_cent_layout` and `random_cent_layout`.
 
 Every count is tau(K_n - Q) = n^(n-p-2) * det(n*I_p - L(Q)) for the
-p-vertex graph Q. Quasi-threshold graphs are cographs, whose Laplacian
-spectra are integral (Merris 1998). With A_i the number of vertices above
-node i, s_i the number in its subtree and p_i its multiplicity, an
-internal node contributes p_i eigenvalues A_i + s_i and (children - 1)
-eigenvalues A_i + p_i, a leaf p_i - 1 eigenvalues A_i + p_i, and one
-eigenvalue is 0, so `count_layout` returns, in integers and without
-pivots,
+p-vertex graph Q. This module evaluates the determinant; `cli` assembles
+the count from it with `arith.tau_from_determinant`. Quasi-threshold graphs
+are cographs, whose Laplacian spectra are integral (Merris 1998). With A_i
+the number of vertices above node i, s_i the number in its subtree and p_i
+its multiplicity, an internal node contributes p_i eigenvalues A_i + s_i
+and (children - 1) eigenvalues A_i + p_i, a leaf p_i - 1 eigenvalues
+A_i + p_i, and one eigenvalue is 0, so `layout_determinant` returns, in
+integers and without pivots, at any integer x,
 
-    tau(K_n - Q) = n^(n-p-1) * prod((n - mu)^mult over the nonzero spectrum).
+    det(x*I_p - L(Q)) = x * prod((x - mu)^mult over the nonzero spectrum).
 
 A complete split graph (clique K joined to an independent set S) is the
 quasi-threshold graph whose node tree is trivial: a root holding K and one
 single-vertex leaf per vertex of S (`is_complete_split`). Its spectrum
-reproduces the closed form
-tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K| with p = |K| + |S|, so
-`count_layout` counts it from that layout alone, with no graph built.
+gives det(n*I_p - L) = n * (n - |K|)^(|S|-1) * (n - p)^|K| with
+p = |K| + |S|, the closed form
+tau = n^(n-p-1) * (n - |K|)^(|S|-1) * (n - p)^|K|, and
+`layout_determinant` evaluates it from that layout alone, with no graph
+built.
 
 The paper's rational recursion `cent_function`, which `bench` and the
 acceptance checks run, evaluates children before parents (descending node
@@ -59,7 +62,7 @@ and `cent_tau` assembles the count as
 
 from collections import Counter, deque, namedtuple
 
-from .arith import ExactField, tau_from_determinant
+from .arith import ExactField
 from .graph import Graph, is_connected
 
 __all__ = [
@@ -70,7 +73,7 @@ __all__ = [
     "CentFunctionValues",
     "cent_function",
     "cent_tau",
-    "count_layout",
+    "layout_determinant",
 ]
 
 
@@ -276,8 +279,9 @@ def cent_tau(ct: CentTree, n: int, field=None):
     return total
 
 
-def count_layout(parents, mults, n: int) -> int:
-    """Exact tau(K_n - Q) from the Laplacian spectrum of Q's node tree.
+def layout_determinant(parents, mults, x: int) -> int:
+    """det(x*I_p - L(Q)) at any integer x from the Laplacian spectrum of
+    Q's node tree.
 
     Node i = 1..k has parent parents[i] (root 1 has parent 0, parents come
     before children) and multiplicity mults[i]; both lists hold 0 at index 0.
@@ -288,7 +292,7 @@ def count_layout(parents, mults, n: int) -> int:
     for i in range(1, len(parents)):
         spectrum[above[i] + mass[i]] += mults[i]
         spectrum[above[i] + mults[i]] += len(children[i]) - 1
-    det = n  # the eigenvalue 0
+    det = x  # the eigenvalue 0
     for mu, mult in spectrum.items():
-        det *= (n - mu) ** mult
-    return tau_from_determinant(n, mass[1], det)
+        det *= (x - mu) ** mult
+    return det

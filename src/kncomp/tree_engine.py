@@ -1,27 +1,28 @@
 """Spanning trees of K_n minus a tree, in O(k) integer recursion steps.
 
 Every count satisfies tau(K_n - T) = n^(n-k-2) * det(n*I_k - L(T)), where
-L(T) is the Laplacian of the k-vertex tree T. Orient T from its leaves to a
-root and write d_v for the degree of v in T and ch(v) for its children. The
-subtree determinants
+L(T) is the Laplacian of the k-vertex tree T. This module evaluates the
+determinant; `cli` assembles the count from it with
+`arith.tau_from_determinant`. Orient T from its leaves to a root and write
+d_v for the degree of v in T and ch(v) for its children. At any integer x
+the subtree determinants
 
     F(v) = prod(D(c) for c in ch(v))
-    D(v) = (n - d_v) * F(v) - sum(F(c) * prod(D(c') for c' in ch(v), c' != c)
+    D(v) = (x - d_v) * F(v) - sum(F(c) * prod(D(c') for c' in ch(v), c' != c)
                                   for c in ch(v))
 
-end at D(root) = det(n*I_k - L(T)).
+end at D(root) = det(x*I_k - L(T)).
 
 One FIFO peel (`_leaf_peel`) serves both evaluations: a queue peels the
 current leaves and gives the peel order, each vertex's parent (its one
 unpeeled neighbor when it is peeled) and each vertex's peel round. It
-holds the only tree check. `count_kn_minus_tree` folds (D(v), F(v)) into
-the parent along the peel order; the last vertex peeled, a center of T, is
-the root. It never divides, so it has no zero pivots, and the only division
-is the exact one by n^(k+2-n) when k >= n - 1. `st_decompose` groups the
-rounds into levels (the sets of leaves removed all at once) and numbers
-the vertices level by level, so every vertex has at most one neighbor with
-a larger label. These levels and labels serve only the paper's recursion
-below.
+holds the only tree check. `tree_determinant` folds (D(v), F(v)) into the
+parent along the peel order; the last vertex peeled, a center of T, is the
+root. It never divides, so it has no zero pivots and is exact at every x,
+x = n included. `st_decompose` groups the rounds into levels (the sets of
+leaves removed all at once) and numbers the vertices level by level, so
+every vertex has at most one neighbor with a larger label. These levels
+and labels serve only the paper's recursion below.
 
 `st_function` is the paper's rational form of the same elimination, with
 ch(i) the neighbors of i with smaller labels. With b = 1/n and
@@ -29,16 +30,17 @@ a_i = 1 - d_i*b, the pivots
 
     L(i) = a_i - b^2 * sum(1 / L(j) for j in ch(i))
 
-satisfy n * L(v) = D(v) / F(v), so tau(K_n - T) = n^(n-2) * L(1) * ... * L(k),
-which `st_tau` assembles. Both run in any field (exact rationals or a prime
-field), which `bench` and the linear-work checks use. A zero L(j) is legal
-as a final value but cannot appear in a denominator; that case raises
-ZeroDivisionError.
+satisfy n * L(v) = D(v) / F(v) at x = n, so
+tau(K_n - T) = n^(n-2) * L(1) * ... * L(k), which `st_tau` assembles. Both
+run in any field (exact rationals or a prime field), which `bench` and the
+linear-work checks use. A zero L(j) is legal as a final value but cannot
+appear in a denominator; that case raises ZeroDivisionError.
 """
 
 from collections import namedtuple
 
-from .arith import ExactField, tau_from_determinant
+from . import arith
+from .arith import ExactField
 from .graph import Graph, Problem
 from .graph import is_tree  # noqa: F401 -- unused; perfbench/test_tracing.py patches it here
 
@@ -48,6 +50,7 @@ __all__ = [
     "st_decompose",
     "st_function",
     "st_tau",
+    "tree_determinant",
     "count_kn_minus_tree",
 ]
 
@@ -169,17 +172,16 @@ def st_tau(t: Graph, n: int, field=None):
     return total
 
 
-def count_kn_minus_tree(problem: Problem) -> int:
-    """Exact tau(K_n - T) for a tree subtrahend T, folded along one leaf peel.
+def tree_determinant(t: Graph, x: int) -> int:
+    """det(x*I_k - L(T)) for the k-vertex tree t at any integer x, folded
+    along one leaf peel.
 
     `_leaf_peel` gives the peel order and parents, so every vertex is
     evaluated after the subtrees hanging off it and folded into its parent,
     and the last vertex peeled is a center of T. Raises NotATreeError for
-    non-tree input, and NonIntegerProductError if the final exact division
-    leaves a remainder (an engine bug).
+    non-tree input.
     """
-    n = problem.n
-    adj, order, parent, _ = _leaf_peel(problem.h)
+    adj, order, parent, _ = _leaf_peel(t)
     # prod[v] and cross[v] are F(v) and the sum in D(v) over the children
     # folded into v so far; peeling v releases both, so only the live
     # frontier is kept. The root folds into the unused entry 0.
@@ -188,8 +190,17 @@ def count_kn_minus_tree(problem: Problem) -> int:
     for v in order:
         f_v, c_v = prod[v], cross[v]
         prod[v] = cross[v] = None
-        d_v = (n - len(adj[v])) * f_v - c_v
+        d_v = (x - len(adj[v])) * f_v - c_v
         u = parent[v]
         cross[u] = cross[u] * d_v + f_v * prod[u]
         prod[u] *= d_v
-    return tau_from_determinant(n, len(order), d_v)
+    return d_v
+
+
+def count_kn_minus_tree(problem: Problem) -> int:
+    """Exact tau(K_n - T) for a tree subtrahend T, assembled from
+    `tree_determinant` at x = n as `kncomp count` does. Raises
+    NotATreeError for non-tree input."""
+    return arith.tau_from_determinant(
+        problem.n, problem.h.vertex_count, tree_determinant(problem.h, problem.n)
+    )

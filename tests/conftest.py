@@ -7,9 +7,10 @@ from itertools import combinations
 
 import pytest
 
+from kncomp.arith import tau_from_determinant
 from kncomp.graph import Graph, Problem
 from kncomp.oracle import graph_from_cent_layout
-from kncomp.qt_engine import _shape, count_layout, recognize_and_build_cent_tree
+from kncomp.qt_engine import _shape, layout_determinant, recognize_and_build_cent_tree
 
 
 @contextmanager
@@ -84,10 +85,22 @@ def prufer_encode(t: Graph) -> tuple:
 
 def qt_count(problem: Problem) -> int:
     """tau(K_n - Q) for a connected quasi-threshold Q, as `kncomp count`
-    serves it: the node tree of Q, then count_layout. Raises
-    NotQuasiThresholdError, or ValueError when Q is disconnected."""
+    serves it: the node tree of Q, its layout_determinant at x = n, then
+    tau_from_determinant. Raises NotQuasiThresholdError, or ValueError when
+    Q is disconnected."""
     ct = recognize_and_build_cent_tree(problem.h)
-    return count_layout(ct.parents, ct.mults, problem.n)
+    det = layout_determinant(ct.parents, ct.mults, problem.n)
+    return tau_from_determinant(problem.n, ct.vertex_count, det)
+
+
+def shifted_laplacian_determinant(g: Graph, x: int) -> int:
+    """det(x*I - L(g)) by Bareiss elimination of the dense matrix."""
+    rows = [[0] * g.vertex_count for _ in range(g.vertex_count)]
+    for v in g.vertices():
+        rows[v - 1][v - 1] = x - g.degree(v)
+        for u in g.neighbors(v):
+            rows[v - 1][u - 1] = 1
+    return bareiss_determinant(rows)
 
 
 def lucas(p: int, x: int) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from kncomp.arith import tau_from_determinant
 from kncomp.cli import bench_once
 from kncomp.graph import Graph, Problem, complement_in_host
 from kncomp.oracle import (
@@ -29,7 +30,7 @@ from kncomp.oracle import (
     rational_determinant,
     star_graph,
 )
-from kncomp.qt_engine import cent_function, count_layout, recognize_and_build_cent_tree
+from kncomp.qt_engine import cent_function, layout_determinant, recognize_and_build_cent_tree
 from kncomp.tree_engine import count_kn_minus_tree
 
 from conftest import (
@@ -188,7 +189,9 @@ def test_criterion_6_complete_split_closed_form():
                         * Fraction(n - size_k) ** (size_s - 1)
                         * Fraction(n - p) ** size_k
                     )
-                layout = count_layout(*csplit_layout(size_k, size_s), n)
+                layout = tau_from_determinant(
+                    n, p, layout_determinant(*csplit_layout(size_k, size_s), n)
+                )
                 engine = qt_count(Problem(n, g))
                 if not closed == layout == engine:
                     _report(
@@ -287,10 +290,11 @@ def test_criterion_7_closed_forms_at_twenty_thousand():
     k = 20_000
     star = Problem(k + 1, star_graph(k))
     edges = Problem(k, disjoint_edges(10))
+    complete = layout_determinant(*csplit_layout(k, 0), k + 3)
     cases = [
         ("P_k", count_kn_minus_tree(Problem(k, path_graph(k))), k, k, det_path(k, k)),
         ("K_1,k-1", count_kn_minus_tree(star), k + 1, k, det_star(k - 1, k + 1)),
-        ("K_k", count_layout(*csplit_layout(k, 0), k + 3), k + 3, k, det_complete(k, k + 3)),
+        ("K_k", tau_from_determinant(k + 3, k, complete), k + 3, k, det_complete(k, k + 3)),
         ("C_20", cst_matrix_count(Problem(k, cycle_graph(20))), k, 20, det_cycle(20, k)),
         ("10K_2", cst_matrix_count(edges), k, 20, det_disjoint_edges(10, k)),
     ]

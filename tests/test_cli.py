@@ -479,7 +479,7 @@ def test_verify_enumerate_guard_exits_1(tmp_path, capsys, monkeypatch):
         raise AssertionError("the subtrahend was read or counted before the guard")
 
     monkeypatch.setattr(cli, "parse_edge_list", not_called)
-    monkeypatch.setattr(tree_engine, "count_kn_minus_tree", not_called)
+    monkeypatch.setattr(tree_engine, "tree_determinant", not_called)
     p3 = write(tmp_path, "p3.el", PATH3)
     code, _, err = run(
         capsys,

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import check_node_tree, complete_graph, qt_count, random_permutation, relabel
-from kncomp.arith import PrimeField, random_prime
+from conftest import (
+    check_node_tree,
+    complete_graph,
+    qt_count,
+    random_permutation,
+    relabel,
+    shifted_laplacian_determinant,
+)
+from kncomp.arith import PrimeField, random_prime, tau_from_determinant
 from kncomp.graph import Graph, Problem, complement_in_host, is_connected
 from kncomp.oracle import (
     all_graphs,
@@ -27,8 +34,8 @@ from kncomp.qt_engine import (
     NotQuasiThresholdError,
     cent_function,
     cent_tau,
-    count_layout,
     is_complete_split,
+    layout_determinant,
     recognize_and_build_cent_tree,
 )
 
@@ -144,8 +151,8 @@ def test_count_rejects_p4():
 
 
 def test_csplit_closed_form_examples():
-    assert count_layout(*csplit_layout(1, 3), 4) == 0
-    assert count_layout(*csplit_layout(1, 3), 5) == 16
+    assert tau_from_determinant(4, 4, layout_determinant(*csplit_layout(1, 3), 4)) == 0
+    assert tau_from_determinant(5, 4, layout_determinant(*csplit_layout(1, 3), 5)) == 16
     problem = Problem(5, csplit_graph(1, 3))
     assert kirchhoff_count(complement_in_host(problem)) == 16
 
@@ -153,9 +160,8 @@ def test_csplit_closed_form_examples():
 def test_csplit_empty_stable_set_delegates_to_complete_graph():
     for p in range(1, 6):
         for n in range(p, 9):
-            assert count_layout(*csplit_layout(p, 0), n) == qt_count(
-                Problem(n, complete_graph(p))
-            )
+            det = layout_determinant(*csplit_layout(p, 0), n)
+            assert tau_from_determinant(n, p, det) == qt_count(Problem(n, complete_graph(p)))
 
 
 def test_csplit_matches_qt_engine():
@@ -164,9 +170,22 @@ def test_csplit_matches_qt_engine():
             p = size_k + size_s
             for n in (p, p + 2):
                 g = csplit_graph(size_k, size_s)
-                assert count_layout(*csplit_layout(size_k, size_s), n) == qt_count(
-                    Problem(n, g)
-                )
+                det = layout_determinant(*csplit_layout(size_k, size_s), n)
+                assert tau_from_determinant(n, p, det) == qt_count(Problem(n, g))
+
+
+def test_layout_determinant_is_the_shifted_laplacian_determinant():
+    # The spectrum product never divides, so it is exact at every integer x,
+    # below 0 and below p included, and not only at the host size n.
+    rng = random.Random(2830)
+    layouts = [random_cent_layout(8, 3, rng) for _ in range(200)]
+    layouts += [csplit_layout(size_k, size_s) for size_k in range(1, 5) for size_s in range(0, 5)]
+    for parents, mults in layouts:
+        g = graph_from_cent_layout(parents, mults)
+        for x in range(-2, g.vertex_count + 3):
+            assert layout_determinant(parents, mults, x) == shifted_laplacian_determinant(g, x), (
+                parents, mults, x,
+            )
 
 
 def has_complete_split_degrees(g: Graph) -> bool:
@@ -207,7 +226,9 @@ def test_many_pieces_are_split_in_linear_time():
     g = Graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)] + [(2, 3)])
     start = time.perf_counter()
     ct = recognize_and_build_cent_tree(g)
-    tau = count_layout(ct.parents, ct.mults, leaves + 1)
+    tau = tau_from_determinant(
+        leaves + 1, ct.vertex_count, layout_determinant(ct.parents, ct.mults, leaves + 1)
+    )
     assert time.perf_counter() - start < 2.0
     assert ct.node_count == leaves and not is_complete_split(ct.parents, ct.mults)
     assert ct.members[2] == (2, 3)
@@ -259,7 +280,8 @@ def test_deep_node_trees_are_recognized_quickly():
     g = relabel(g, random_permutation(g.vertex_count, random.Random(400)))
     start = time.perf_counter()
     ct = recognize_and_build_cent_tree(g)
-    count_layout(ct.parents, ct.mults, g.vertex_count + 1)
+    n = g.vertex_count + 1
+    tau_from_determinant(n, ct.vertex_count, layout_determinant(ct.parents, ct.mults, n))
     assert time.perf_counter() - start < 0.5
     assert ct.node_count == 801
     check_node_tree(ct, g)

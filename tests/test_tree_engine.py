@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qt_count, random_permutation, relabel
+from conftest import qt_count, random_permutation, relabel, shifted_laplacian_determinant
 from kncomp.arith import ExactField, PrimeField, random_prime
 from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
     all_graphs,
     all_labeled_trees,
     caterpillar_graph,
+    csplit_layout,
     kirchhoff_count,
     path_graph,
     random_labeled_tree,
     star_graph,
 )
+from kncomp.qt_engine import layout_determinant
 from kncomp.tree_engine import (
     NotATreeError,
     count_kn_minus_tree,
     st_decompose,
     st_function,
     st_tau,
+    tree_determinant,
 )
 
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -230,11 +233,24 @@ def test_relabeling_never_changes_the_count(k, seed, perm_seed):
 
 def test_star_agrees_with_qt_engine():
     for k in range(2, 9):
+        star = star_graph(k)
         for n in (k, k + 2):
-            star = star_graph(k)
             assert count_kn_minus_tree(Problem(n, star)) == qt_count(
                 Problem(n, star)
             )
+        for x in range(-2, k + 3):
+            assert tree_determinant(star, x) == layout_determinant(*csplit_layout(1, k - 1), x)
+
+
+def test_tree_determinant_is_the_shifted_laplacian_determinant():
+    # The fold never divides, so it is exact at every integer x, below 0 and
+    # below k included, and not only at the host size n.
+    rng = random.Random(2828)
+    trees = [t for k in range(1, 7) for t in all_labeled_trees(k)]
+    trees += [random_labeled_tree(rng.randint(7, 20), rng.randint(0, 10**9)) for _ in range(40)]
+    for t in trees:
+        for x in range(-2, t.vertex_count + 3):
+            assert tree_determinant(t, x) == shifted_laplacian_determinant(t, x), (t.edges(), x)
 
 
 def test_field_operation_count_is_linear():
