@@ -12,7 +12,7 @@ input it rejects is read again, from its start in the same windows, to
 report the first malformed line; a pipe, which cannot be read twice, is read
 whole first. Canonical text, which the serializer writes, has "k m" and
 every "u v" in plain decimal without leading zeros, one space inside each
-line and "\n" after it; one pattern checks a window of it.
+line and "\n" after it; a window of it is checked by deleting its digits.
 """
 
 import operator
@@ -36,8 +36,9 @@ __all__ = [
 
 
 MAX_VERTEX_COUNT = 10**7
-# Canonical lines, which this pattern checks faster than splitting them does.
-_CANONICAL_LINES = re.compile(r"(?:[1-9][0-9]{0,7} [1-9][0-9]{0,7}\n)*")
+# The ASCII digits, which str.translate deletes from a window: a window of
+# lines "u v\n" in digits leaves " \n" a line.
+_DIGITS = str.maketrans("", "", "0123456789")
 # The characters after which str.splitlines() breaks a line.
 _BREAKS = r"[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]"
 # A line break, "\r\n" one of them: where the header line ends.
@@ -47,10 +48,10 @@ _BREAK = re.compile(_BREAKS + r"(?:(?<=\r)\n)?")
 # cut between the two would hold a blank line too many.
 _LAST_BREAK = re.compile(r"(?s:.*)" + _BREAKS + r"(?!(?<=\r)\Z)")
 # The parser reads this many characters at a time and checks and splits
-# the lines in windows cut after a line break, so neither their tokens nor
-# the matcher's stack scale with the file. The stack takes about 185 bytes
-# a line: 0.12 MB for a 4 KiB window of 625 lines of the complete split
-# graph csplit(1000, 1000), 0.46 MB for a 16 KiB one, 16 MB for 90,000.
+# the lines in windows cut after a line break, so their tokens do not
+# scale with the file. A token takes about 60 bytes with its list slot:
+# 0.06 MB for a 4 KiB window of 512 lines of the complete split graph
+# csplit(1000, 1000), 0.26 MB for a 16 KiB one.
 _CHUNK_CHARS = 1 << 12
 
 
@@ -240,12 +241,9 @@ def _build(k: int, m: int, size: int, windows) -> Graph | None:
     None if a check fails."""
     adj, table = _lists(k, m, size)
     for window in windows:
-        if not (
-            _CANONICAL_LINES.fullmatch(window)
-            or {0, 2}.issuperset(map(len, map(str.split, window.splitlines())))
-        ):
+        tokens = _tokens(window)
+        if tokens is None:
             return None
-        tokens = window.split()
         try:
             # Two or more names of 1..k: a tuple of their vertices comes back.
             values = operator.itemgetter(*tokens)(table)
@@ -265,6 +263,27 @@ def _build(k: int, m: int, size: int, windows) -> Graph | None:
     except ValueError:  # a duplicate edge or a loop
         return None
     return g if g.edge_count == m else None
+
+
+def _tokens(window: str) -> list | None:
+    """The tokens of `window`, or None if a line of it holds other than
+    none or two.
+
+    Lines of digits, one space and digits, each before a "\n", leave " \n"
+    a line once their digits are deleted and split into two tokens a line:
+    a line with fewer tokens or more fails one of the two tests. Any other
+    window is checked line by line."""
+    lines = window.count("\n")
+    if window.translate(_DIGITS) == " \n" * lines:
+        tokens = window.split()
+        if len(tokens) == 2 * lines:
+            return tokens
+        # A line of one token, or a blank line of one space: the lines are
+        # split again below, without these tokens.
+        del tokens
+    if {0, 2}.issuperset(map(len, map(str.split, window.splitlines()))):
+        return window.split()
+    return None
 
 
 def _lists(k: int, m: int, size: int):

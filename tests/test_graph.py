@@ -216,31 +216,76 @@ def test_a_header_and_one_full_window_parse_in_bulk(scale):
     assert g == scanned_outcome(text)
 
 
+def _after_a_window_boundary(k: int, odd: str, tail: bool = True) -> tuple[str, int]:
+    """A text on k vertices and the number of the line that opens its second
+    window. The first window ends after the last line break among the text's
+    first _CHUNK_CHARS characters: it holds the header, padded with spaces,
+    and the lines "u u+1" of _one_window_of_path_lines that end exactly at
+    that boundary. `odd` opens the second window, then, if `tail`, the other
+    path lines and a line "k-1 k". The header promises every line of two
+    tokens."""
+    lines = _one_window_of_path_lines()
+    before = []
+    # Room for a header of up to 24 characters before its padding.
+    while len("".join(before + lines[:1])) < graph._CHUNK_CHARS - 24:
+        before.append(lines.pop(0))
+    after = odd + ("".join(lines) + f"{k - 1} {k}\n" if tail else "")
+    m = len(before) + sum(len(line.split()) == 2 for line in after.splitlines())
+    header = f"{k} {m}".ljust(graph._CHUNK_CHARS - len("".join(before)) - 1) + "\n"
+    text = header + "".join(before) + after
+    boundary = len(next(graph._windows(text)))
+    assert boundary == graph._CHUNK_CHARS == len(header + "".join(before))
+    assert text.startswith(odd, boundary)
+    return text, len(before) + 2
+
+
 @VERTEX_COUNT_SCALES
 @pytest.mark.parametrize(
     "bad_line, fragment",
     [("2 1", "duplicate edge (1, 2)"), ("1 99999999", "out of range"), ("7 7", "loop")],
 )
 def test_a_bad_line_at_a_window_boundary(scale, bad_line, fragment):
-    # The first window ends after the last line break among the text's first
-    # _CHUNK_CHARS characters. The path lines that fit before it stay there,
-    # the header is padded with spaces to end them exactly at it, and the
-    # bad line opens the second window, before the other path lines.
-    lines = _one_window_of_path_lines()
-    k = scale * (len(lines) + 2)
-    header = f"{k} {len(lines) + 2}"
-    before = []
-    while len(header) + len("".join(before + lines[:1])) < graph._CHUNK_CHARS:
-        before.append(lines.pop(0))
-    header = header.ljust(graph._CHUNK_CHARS - len("".join(before)) - 1) + "\n"
-    text = header + "".join(before + [f"{bad_line}\n"] + lines + [f"{k - 1} {k}\n"])
-    boundary = len(next(graph._windows(text)))
-    assert boundary == graph._CHUNK_CHARS == len(header + "".join(before))
-    assert text.startswith(f"{bad_line}\n", boundary)
+    k = scale * (len(_one_window_of_path_lines()) + 2)
+    text, line_no = _after_a_window_boundary(k, f"{bad_line}\n")
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_list(text)
-    assert err.value.line_no == len(before) + 2
+    assert err.value.line_no == line_no
     assert fragment in str(err.value)
+    assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
+
+
+# Lines the canonical check, which deletes a window's ASCII digits and counts
+# its tokens, could misjudge. None repeats an edge "u u+1" of a path.
+DIGIT_CHECK_LINES = [
+    "1 3 5\n7 9\n",  # three tokens and then two
+    "1 3 5\n7\n",  # four tokens on two lines
+    "1 \n 3\n",  # one space a line, one token each
+    " \n1 3\n \n",  # blank lines of one space
+    "01 3\n",  # a leading zero: no name of the table, read by int()
+    "\u0661 3\n",  # a digit that str.translate keeps
+    "1 123456789\n",  # nine digits, out of range
+    "000000001 3\n",  # nine digits, in range
+    "1 3\r\n",
+    "1 3\n3 5",  # a last line without its "\n"
+]
+
+
+@pytest.mark.parametrize("lines", DIGIT_CHECK_LINES)
+@pytest.mark.parametrize("where", ["after-header", "at-boundary", "at-boundary-int"])
+def test_windows_the_digit_check_could_misjudge(lines, where):
+    # A window's tokens are those of its lines exactly when each line holds
+    # none or two, and the parser agrees with the line scan.
+    held = {0, 2}.issuperset(len(line.split()) for line in lines.splitlines())
+    assert graph._tokens(lines) == (lines.split() if held else None)
+    if where == "after-header":
+        m = sum(len(line.split()) == 2 for line in lines.splitlines())
+        text = f"9 {m}\n{lines}"
+    else:
+        # Ten times as many vertices: the endpoints are read by int().
+        scale = 10 if where == "at-boundary-int" else 1
+        text, _ = _after_a_window_boundary(
+            scale * (len(_one_window_of_path_lines()) + 2), lines, tail=False
+        )
     assert parse_outcome(parse_edge_list, text) == scanned_outcome(text)
 
 
@@ -408,8 +453,8 @@ def traced_graph(text) -> tuple[int, int]:
 @pytest.mark.parametrize("k", [300, 600])
 def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
     # K_600 has four times the 44,850 lines of K_300. Beyond the graph the
-    # parse holds the name table, one window's tokens and matcher stack and
-    # the slack of the growing neighbor lists, about 0.6 and 0.9 MiB. A copy
+    # parse holds the name table, one window's tokens and the slack of the
+    # growing neighbor lists, about 0.6 and 0.9 MiB. A copy
     # of the lines, all neighbor lists held beside their tuples, or 64 KiB
     # windows each take K_600 over 1 MiB; the last takes K_300 too.
     text = serialize_edge_list(Graph(k, list(combinations(range(1, k + 1), 2))))
@@ -423,7 +468,7 @@ def test_bulk_parse_peak_is_the_graph_plus_one_window(k):
 )
 def test_other_text_peaks_at_the_graph_plus_one_window(k, form):
     # Tab-separated lines, a last line without its newline, and lines ended
-    # by "\r" alone fail the canonical pattern and are read in the same
+    # by "\r" alone fail the canonical check and are read in the same
     # windows: beyond the graph they hold at most about 2.5 MiB at either k.
     # A parse that held every line and edge would take 7 MiB for K_300 and
     # 29 MiB for K_600, and one window for all of K_600's lines over 100 MiB.
@@ -433,6 +478,18 @@ def test_other_text_peaks_at_the_graph_plus_one_window(k, form):
     retained, beyond = traced_graph(form(canonical))
     assert beyond < 4 * 2**20
     assert retained <= 1.05 * traced_graph(canonical)[0]
+
+
+def test_a_rejected_one_line_window_is_split_once():
+    # K_300 with its 44,850 edges on the line after the header, 326,518
+    # characters, fails the canonical check and then the line check, whose
+    # split of the line into 89,700 tokens peaks at about 5.7 MiB. Splitting
+    # the window before the canonical check, and holding those tokens while
+    # the line check split it again, peaked at 10.8 MiB.
+    header, edges = serialize_edge_list(complete_graph(300)).split("\n", 1)
+    text = header + "\n" + edges.replace("\n", " ")
+    assert parse_outcome(parse_edge_list, text)[1] == 2
+    assert traced_peak(lambda t: parse_outcome(parse_edge_list, t), text) < 8 * 2**20
 
 
 @pytest.mark.parametrize(
