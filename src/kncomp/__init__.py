@@ -1,8 +1,9 @@
 """Exact spanning-tree counts for K_n minus a subtrahend graph.
 
 Fast engines cover subtrahends that are trees, quasi-threshold graphs, or
-complete split graphs; determinant oracles (Laplacian cofactor, complement
-adjacency system) and exhaustive enumeration verify every result.
+complete split graphs; determinant oracles (Laplacian cofactor, and
+det(n*I - L(H)) on the subtrahend's vertices) and exhaustive enumeration
+verify every result.
 """
 
 from .arith import (

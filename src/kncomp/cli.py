@@ -88,21 +88,21 @@ def _subtrahend(args, method: str):
     layout (parents, mults) of `--csplit K,S` for an engine, which labels
     and counts it from the layout alone, else the Problem.
 
-    The host size, and for enumeration that oracle's guard, are checked
-    before a file is read or a graph is built. Only an oracle needs the
-    graph of a complete split subtrahend, which has K^2 + K*S edges.
+    The host size and an oracle's guard are checked before a file is read
+    or a graph is built; cst-matrix's guard on the order of a file's H is
+    checked once H is loaded, before its matrix is built. Only an oracle
+    needs the graph of a complete split subtrahend, which has K^2 + K*S
+    edges.
     """
     sizes = None if args.csplit is None else _csplit_sizes(args.csplit)
+    p = sum(sizes) if sizes else 0
     try:
-        check_host_size(args.n, sum(sizes) if sizes else 0)
+        check_host_size(args.n, p)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if sizes and method not in ORACLE_METHODS:
-        return oracle.csplit_layout(*sizes), sum(sizes)
-    if method == "enumerate" and args.n > oracle.ENUMERATION_LIMIT:
-        raise CliError(
-            f"enumeration guard: n = {args.n} exceeds {oracle.ENUMERATION_LIMIT} vertices"
-        )
+        return oracle.csplit_layout(*sizes), p
+    _check_oracle_size(method, args.n, p)
     if sizes:
         h = oracle.csplit_graph(*sizes)
     else:
@@ -114,9 +114,32 @@ def _subtrahend(args, method: str):
         except EdgeListParseError as exc:
             raise CliError(f"{args.h}: {exc}") from None
     try:
-        return Problem(args.n, h), h.vertex_count
+        problem = Problem(args.n, h)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    _check_oracle_size(method, args.n, h.vertex_count)
+    return problem, h.vertex_count
+
+
+# Each oracle's guard: its name in messages, the size it bounds (the host's
+# n or the subtrahend's p) and the limit.
+_ORACLE_GUARDS = {
+    "enumerate": ("enumeration", "n", oracle.ENUMERATION_LIMIT),
+    "kirchhoff": ("kirchhoff", "n", oracle.KIRCHHOFF_LIMIT),
+    "cst-matrix": ("cst-matrix", "p", oracle.CST_MATRIX_LIMIT),
+}
+
+
+def _check_oracle_size(method: str, n: int, p: int, fallback_reason=None) -> None:
+    """CliError when `method` is an oracle and n or p exceeds its guard; an
+    auto count that falls back to the oracle gives its reason."""
+    if method not in _ORACLE_GUARDS:
+        return
+    name, symbol, limit = _ORACLE_GUARDS[method]
+    size = n if symbol == "n" else p
+    if size > limit:
+        why = f" (auto fell back: {fallback_reason})" if fallback_reason else ""
+        raise CliError(f"{name} guard: {symbol} = {size} exceeds {limit} vertices{why}")
 
 
 def _csplit_sizes(spec: str) -> tuple[int, int]:
@@ -153,11 +176,12 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
     auto and tree to `tree_engine.tree_determinant`. Otherwise its node
     layout is built and evaluated by `qt_engine.layout_determinant`, labelled
     as below; under auto, H not quasi-threshold or disconnected goes to the
-    Kirchhoff oracle with the reason recorded. A layout is labelled `tree`
-    under auto and tree when its graph is a tree: complete split with a
-    one-member root, or one node of at most 2 members. Else it is `csplit`
-    when complete split and the method is not qt, else `qt`. An explicit
-    method never falls back: an unmet precondition is a PreconditionError.
+    Kirchhoff oracle with the reason recorded, unless n exceeds that
+    oracle's guard. A layout is labelled `tree` under auto and tree when its
+    graph is a tree: complete split with a one-member root, or one node of
+    at most 2 members. Else it is `csplit` when complete split and the
+    method is not qt, else `qt`. An explicit method never falls back: an
+    unmet precondition is a PreconditionError.
     """
     auto = method == "auto"
     if isinstance(subtrahend, Problem):
@@ -183,6 +207,7 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
                 reason = "subtrahend is not quasi-threshold"
             else:
                 reason = "subtrahend is disconnected"
+            _check_oracle_size("kirchhoff", n, h.vertex_count, reason)
             return _run_oracle("kirchhoff", subtrahend), "kirchhoff", reason
         subtrahend = ct.parents, ct.mults
     parents, mults = subtrahend

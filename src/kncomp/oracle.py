@@ -1,29 +1,31 @@
 """Ground-truth spanning-tree counts and seeded test-instance generators.
 
 Two independent determinant oracles guard the engines: the classical
-Laplacian-cofactor count, and a rational count that scales the determinant
-of the complement adjacency system on the subtrahend's p vertices by
-n^(n-2). The cofactor's minor is symmetric and positive semidefinite, so it
-is eliminated fraction-free on its upper triangle with no row swaps, and a
-zero pivot means the count is 0.
+Laplacian-cofactor count on the explicit complement's n - 1 vertices, and
+n^(n-p-2) * det(n*I - L(H)) on the subtrahend's p vertices. Both matrices
+are symmetric, integer and positive semidefinite, so one elimination serves
+both: fraction-free on the upper triangle with no row swaps, where a zero
+pivot means the determinant is 0.
 For tiny graphs an exhaustive subset enumerator provides a third,
-arithmetic-free answer.
+arithmetic-free answer. The command line bounds each oracle's input:
+ENUMERATION_LIMIT and KIRCHHOFF_LIMIT host vertices, CST_MATRIX_LIMIT
+subtrahend vertices.
 """
 
 import random
-from fractions import Fraction
 from itertools import accumulate, chain, combinations
 
-from .arith import NonIntegerProductError
+from .arith import tau_from_determinant
 from .graph import Graph, Problem
 
 __all__ = [
-    "rational_determinant",
     "kirchhoff_count",
     "cst_matrix",
     "cst_matrix_count",
     "enumerate_count",
     "ENUMERATION_LIMIT",
+    "KIRCHHOFF_LIMIT",
+    "CST_MATRIX_LIMIT",
     "prufer_decode",
     "random_labeled_tree",
     "all_labeled_trees",
@@ -41,62 +43,20 @@ __all__ = [
 ]
 
 
-def rational_determinant(rows) -> Fraction:
-    """Exact determinant of a rational matrix by Gaussian elimination,
-    pivoting on the first nonzero entry of each column. Integer entries are
-    made Fractions, so every quotient is exact."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _psd_determinant(m) -> int:
+    """Determinant of a symmetric positive semidefinite integer matrix, read
+    from its upper triangle, which the elimination overwrites. The empty
+    matrix has determinant 1."""
     size = len(m)
     if size == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            factor = m[r][col] / pivot
-            if factor:
-                row, top = m[r], m[col]
-                for c in range(col, size):
-                    row[c] -= factor * top[c]
-    return det
-
-
-def kirchhoff_count(g: Graph) -> int:
-    """Spanning trees via the matrix-tree theorem.
-
-    Deletes the last row and column of the integer Laplacian (any choice
-    works; fixing one keeps runs deterministic) and evaluates the minor by
-    fraction-free elimination on its upper triangle. Returns 1 for a single
-    vertex and 0 for any disconnected graph.
-    """
-    n = g.vertex_count
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if n == 1:
         return 1
-    size = n - 1
-    m = [[0] * size for _ in range(size)]
-    for v in range(1, n):
-        row = m[v - 1]
-        row[v - 1] = g.degree(v)
-        for u in g.neighbors(v):
-            if v < u < n:
-                row[u - 1] = -1
-    # Bareiss without row swaps. Each step keeps the minor symmetric, so
+    # Bareiss without row swaps. Each step keeps the matrix symmetric, so
     # only the entries with c >= r are computed, and the pivot row's entry
-    # top[r] stands in for row[col]. The minor is positive semidefinite.
-    # Until the first zero pivot every pivot is a positive leading principal
-    # minor, and the remaining block is that minor times the PSD Schur
-    # complement. A zero diagonal entry of a PSD matrix means its whole row
-    # is zero, so a zero pivot means the determinant is 0: this is how a
-    # disconnected graph returns 0.
+    # top[r] stands in for row[col]. Until the first zero pivot every pivot
+    # is a positive leading principal minor, and the remaining block is that
+    # minor times the PSD Schur complement. A zero diagonal entry of a PSD
+    # matrix means its whole row is zero, so a zero pivot means the
+    # determinant is 0.
     prev = 1
     for col in range(size - 1):
         top = m[col]
@@ -112,37 +72,65 @@ def kirchhoff_count(g: Graph) -> int:
     return m[-1][-1]
 
 
+def kirchhoff_count(g: Graph) -> int:
+    """Spanning trees via the matrix-tree theorem.
+
+    Deletes the last row and column of the integer Laplacian (any choice
+    works; fixing one keeps runs deterministic) and evaluates the minor, which
+    is positive semidefinite, by `_psd_determinant`. Returns 1 for a single
+    vertex and 0 for any disconnected graph: its minor meets a zero pivot.
+    """
+    n = g.vertex_count
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    size = n - 1
+    m = [[0] * size for _ in range(size)]
+    for v in range(1, n):
+        row = m[v - 1]
+        row[v - 1] = g.degree(v)
+        for u in g.neighbors(v):
+            if v < u < n:
+                row[u - 1] = -1
+    return _psd_determinant(m)
+
+
 def cst_matrix(problem: Problem):
-    """The complement adjacency system for K_n minus h, as a p x p rational
-    matrix on the p vertices of h: diagonal 1 - d_i/n with d_i the degree of
-    i in h, off-diagonal 1/n exactly on the edges of h, zero elsewhere. A
-    host vertex outside h would add only an identity row and column, so the
+    """The p x p integer matrix n*I - L(h) on the p vertices of h: n - d_v on
+    the diagonal, with d_v the degree of v in h, 1 exactly on the edges of h
+    and 0 elsewhere. The count scales its determinant by n^(n-p-2), so the
     size does not grow with n."""
     n, h = problem.n, problem.h
-    b = Fraction(1, n)
-    rows = [[Fraction(0)] * h.vertex_count for _ in h.vertices()]
+    rows = [[0] * h.vertex_count for _ in h.vertices()]
     for v, row in zip(h.vertices(), rows):
-        row[v - 1] = 1 - h.degree(v) * b
+        row[v - 1] = n - h.degree(v)
         for u in h.neighbors(v):
-            row[u - 1] = b
+            row[u - 1] = 1
     return rows
 
 
 def cst_matrix_count(problem: Problem) -> int:
-    """Second oracle: n^(n-2) times the determinant of the complement
-    adjacency system, evaluated in exact rational arithmetic.
+    """Second oracle: tau(K_n - h) = n^(n-p-2) * det(n*I - L(h)).
 
-    Raises NonIntegerProductError when the scaled determinant is not an
-    integer, which would signal a bug in the matrix or the elimination.
+    Every Laplacian eigenvalue of h is at most p <= n, so n*I - L(h) is
+    positive semidefinite and `_psd_determinant` evaluates it, as it does
+    Kirchhoff's minor. `tau_from_determinant` raises NonIntegerProductError
+    when a negative power of n does not divide the determinant, which would
+    signal a bug in the matrix or the elimination.
     """
-    n = problem.n
-    total = rational_determinant(cst_matrix(problem)) * (n ** (n - 2) if n >= 2 else 1)
-    if total.denominator != 1:
-        raise NonIntegerProductError(f"n^(n-2) * det is not an integer: {total}")
-    return total.numerator
+    det = _psd_determinant(cst_matrix(problem))
+    return tau_from_determinant(problem.n, problem.h.vertex_count, det)
 
 
 ENUMERATION_LIMIT = 8
+# Limits on each determinant oracle's matrix, from measured times (CPython
+# 3.11, 2-vCPU VM). Kirchhoff's minor is (n - 1) x (n - 1) whatever H is:
+# two disjoint edges take 1.8 s at n = 200, 4.7 s at n = 250 and 11.2 s at
+# n = 300. cst-matrix's matrix is p x p at any n, and its entries grow with
+# n: the elimination of a dense G(p, 0.5) takes 12 s at p = 200 and 37 s at
+# p = 250 when n = 10^7, and a star, whose fill is the densest, 5.9 s at
+# p = 200 when n = 10^5.
+KIRCHHOFF_LIMIT = 250
+CST_MATRIX_LIMIT = 200
 
 
 def enumerate_count(g: Graph) -> int:

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,33 @@ def bareiss_determinant(rows) -> int:
             row[col] = 0
         prev = pivot
     return sign * m[-1][-1]
+
+
+def rational_determinant(rows) -> Fraction:
+    """Exact determinant of a rational matrix by Gaussian elimination,
+    pivoting on the first nonzero entry of each column. Integer entries are
+    made Fractions, so every quotient is exact."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    if size == 0:
+        return Fraction(1)
+    det = Fraction(1)
+    for col in range(size):
+        pivot_row = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            det = -det
+        pivot = m[col][col]
+        det *= pivot
+        for r in range(col + 1, size):
+            factor = m[r][col] / pivot
+            if factor:
+                row, top = m[r], m[col]
+                for c in range(col, size):
+                    row[c] -= factor * top[c]
+    return det
 
 
 def prufer_encode(t: Graph) -> tuple:

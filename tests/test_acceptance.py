@@ -27,7 +27,6 @@ from kncomp.oracle import (
     random_graph,
     random_labeled_tree,
     random_qt_graph,
-    rational_determinant,
     star_graph,
 )
 from kncomp.qt_engine import cent_function, layout_determinant, recognize_and_build_cent_tree
@@ -39,6 +38,7 @@ from conftest import (
     lucas,
     qt_count,
     random_permutation,
+    rational_determinant,
     relabel,
     tau_from_closed_form,
 )

@@ -496,13 +496,55 @@ def test_enumerate_guard_comes_before_the_csplit_graph(capsys, monkeypatch):
     # The graph would have about 3.75 * 10^9 edges.
     monkeypatch.setattr(oracle, "csplit_graph", no_graph)
     given = ["--n", "100001", "--csplit", "50000,50000"]
-    for argv in (
-        ["count", *given, "--method", "enumerate"],
-        ["verify", *given, "--method", "auto", "--against", "enumerate"],
+    enumeration = "enumeration guard: n = 100001 exceeds 8 vertices"
+    cst_matrix = f"cst-matrix guard: p = 100000 exceeds {oracle.CST_MATRIX_LIMIT} vertices"
+    for argv, message in (
+        (["count", *given, "--method", "enumerate"], enumeration),
+        (["verify", *given, "--method", "auto", "--against", "enumerate"], enumeration),
+        (["count", *given, "--method", "cst-matrix"], cst_matrix),
+        (["verify", *given, "--method", "auto", "--against", "cst-matrix"], cst_matrix),
     ):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
-        assert "enumeration guard: n = 100001 exceeds 8 vertices" in err
+        assert message in err
+
+
+def test_oracle_guards_exit_1_at_once(tmp_path, capsys, monkeypatch):
+    # An H of exactly CST_MATRIX_LIMIT vertices is admitted.
+    p = oracle.CST_MATRIX_LIMIT
+    at_limit = write(tmp_path, "at-limit.el", serialize_edge_list(path_graph(p)))
+    argv = ["verify", "--n", str(p), "--h", at_limit, "--method", "tree", "--against", "cst-matrix"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["equal"] is True
+
+    def not_called(*_):
+        raise AssertionError("an oracle's matrix was built before its guard")
+
+    monkeypatch.setattr(cli, "complement_in_host", not_called)
+    monkeypatch.setattr(oracle, "cst_matrix", not_called)
+    edges = write(tmp_path, "2k2.el", DISCONNECTED)
+    path = write(tmp_path, "p.el", serialize_edge_list(path_graph(100000)))
+    small_path = write(tmp_path, "p201.el", serialize_edge_list(path_graph(201)))
+    kirchhoff = f"kirchhoff guard: n = 100000 exceeds {oracle.KIRCHHOFF_LIMIT} vertices"
+    for argv, message in (
+        (["count", "--method", "kirchhoff", "--n", "100000", "--h", edges], kirchhoff),
+        (
+            ["count", "--n", "100000", "--h", edges],
+            kirchhoff + " (auto fell back: subtrahend is disconnected)",
+        ),
+        (["verify", "--n", "100000", "--h", path, "--method", "tree", "--against", "kirchhoff"],
+         kirchhoff),
+        # cst-matrix bounds H's order, read from the loaded file.
+        (
+            ["count", "--method", "cst-matrix", "--n", "300", "--h", small_path],
+            f"cst-matrix guard: p = 201 exceeds {oracle.CST_MATRIX_LIMIT} vertices",
+        ),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert message in err, err
 
 
 def test_host_size_comes_before_the_csplit_graph(capsys, monkeypatch):

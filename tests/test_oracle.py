@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bareiss_determinant, complete_graph, prufer_encode, qt_count
+from conftest import (
+    bareiss_determinant,
+    complete_graph,
+    prufer_encode,
+    qt_count,
+    rational_determinant,
+)
 from kncomp.graph import Graph, Problem, complement_in_host, is_tree
 from kncomp.oracle import (
     all_labeled_trees,
@@ -22,7 +28,6 @@ from kncomp.oracle import (
     random_graph,
     random_labeled_tree,
     random_qt_graph,
-    rational_determinant,
 )
 from kncomp.qt_engine import recognize_and_build_cent_tree
 from kncomp.tree_engine import count_kn_minus_tree
@@ -73,11 +78,10 @@ def test_kirchhoff_matches_the_engines_on_large_entries():
 def test_cst_matrix_shape_and_entries():
     problem = Problem(4, Graph(3, [(1, 2), (2, 3)]))
     rows = cst_matrix(problem)
-    b = Fraction(1, 4)
     assert [len(row) for row in rows] == [3, 3, 3]  # H's vertices only
-    assert rows[0][0] == 1 - b and rows[1][1] == 1 - 2 * b and rows[2][2] == 1 - b
-    assert rows[0][1] == b and rows[1][2] == b
-    assert rows[0][2] == 0 and rows[2][0] == 0
+    # n*I - L(H): n - d_v on the diagonal, 1 on the edges of H.
+    assert rows == [[3, 1, 0], [1, 2, 1], [0, 1, 3]]
+    assert all(type(x) is int for row in rows for x in row)
 
 
 def test_cst_matrix_is_sized_by_the_subtrahend_not_the_host():
@@ -93,6 +97,16 @@ def test_cst_count_examples():
     assert cst_matrix_count(Problem(4, Graph(3, [(1, 2), (2, 3)]))) == 3
     assert cst_matrix_count(Problem(2, Graph(2, [(1, 2)]))) == 0
     assert cst_matrix_count(Problem(1, Graph(1))) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.sampled_from((0, 1, 3)), st.integers(0, 2**32))
+def test_cst_matrix_count_matches_kirchhoff(p, edge_prob, extra, seed):
+    # At n = p the matrix n*I - L(H) is singular whenever K_p - H is
+    # disconnected, and its elimination meets a zero pivot.
+    h = random_graph(p, random.Random(seed), edge_prob)
+    problem = Problem(p + extra, h)
+    assert cst_matrix_count(problem) == kirchhoff_count(complement_in_host(problem))
 
 
 def test_enumerate_small_cases():
@@ -143,7 +157,7 @@ def test_rational_determinant_is_exact_on_integer_rows():
     det = rational_determinant(rows)
     assert type(det) is Fraction and det == -7224
     assert bareiss_determinant(rows) == -7224
-    # Fraction rows, as cst_matrix_count passes them, give the same value.
+    # Fraction rows give the same value.
     fractions = [[Fraction(x) for x in row] for row in rows]
     assert rational_determinant(fractions) == det
 

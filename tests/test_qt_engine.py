@@ -12,6 +12,7 @@ from conftest import (
     complete_graph,
     qt_count,
     random_permutation,
+    rational_determinant,
     relabel,
     shifted_laplacian_determinant,
 )
@@ -28,7 +29,6 @@ from kncomp.oracle import (
     random_cent_layout,
     random_graph,
     random_qt_graph,
-    rational_determinant,
 )
 from kncomp.qt_engine import (
     NotQuasiThresholdError,
