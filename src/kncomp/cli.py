@@ -29,10 +29,28 @@ from .qt_engine import NotQuasiThresholdError
 
 DEFAULT_SEED = 20240915
 ENGINE_METHODS = ("tree", "qt", "csplit")
-ORACLE_METHODS = ("kirchhoff", "cst-matrix", "enumerate")
 BENCH_FAMILIES = ("path", "star", "caterpillar", "random-tree", "random-qt")
 NOT_A_TREE = "--method tree: subtrahend is not a tree"
 NOT_CSPLIT = "--method csplit: subtrahend is not a complete split graph"
+# One row per oracle: its name in guard messages, the size its guard bounds
+# (the host's n or the subtrahend's p), the limit, and its tau of a Problem,
+# which looks its functions up as it runs, so a patched one is called.
+_Oracle = namedtuple("_Oracle", "name symbol limit tau")
+_ORACLES = {
+    "kirchhoff": _Oracle(
+        "kirchhoff", "n", oracle.KIRCHHOFF_LIMIT,
+        lambda problem: oracle.kirchhoff_count(complement_in_host(problem)),
+    ),
+    "cst-matrix": _Oracle(
+        "cst-matrix", "p", oracle.CST_MATRIX_LIMIT,
+        lambda problem: oracle.cst_matrix_count(problem),
+    ),
+    "enumerate": _Oracle(
+        "enumeration", "n", oracle.ENUMERATION_LIMIT,
+        lambda problem: oracle.enumerate_count(complement_in_host(problem)),
+    ),
+}
+ORACLE_METHODS = tuple(_ORACLES)
 
 
 class CliError(Exception):
@@ -121,21 +139,12 @@ def _subtrahend(args, method: str):
     return problem, h.vertex_count
 
 
-# Each oracle's guard: its name in messages, the size it bounds (the host's
-# n or the subtrahend's p) and the limit.
-_ORACLE_GUARDS = {
-    "enumerate": ("enumeration", "n", oracle.ENUMERATION_LIMIT),
-    "kirchhoff": ("kirchhoff", "n", oracle.KIRCHHOFF_LIMIT),
-    "cst-matrix": ("cst-matrix", "p", oracle.CST_MATRIX_LIMIT),
-}
-
-
 def _check_oracle_size(method: str, n: int, p: int, fallback_reason=None) -> None:
     """CliError when `method` is an oracle and n or p exceeds its guard; an
     auto count that falls back to the oracle gives its reason."""
-    if method not in _ORACLE_GUARDS:
+    if method not in _ORACLES:
         return
-    name, symbol, limit = _ORACLE_GUARDS[method]
+    name, symbol, limit, _ = _ORACLES[method]
     size = n if symbol == "n" else p
     if size > limit:
         why = f" (auto fell back: {fallback_reason})" if fallback_reason else ""
@@ -156,16 +165,6 @@ def _csplit_sizes(spec: str) -> tuple[int, int]:
     return size_k, size_s
 
 
-def _run_oracle(method: str, problem: Problem) -> int:
-    if method == "kirchhoff":
-        return oracle.kirchhoff_count(complement_in_host(problem))
-    if method == "cst-matrix":
-        return oracle.cst_matrix_count(problem)
-    if method == "enumerate":
-        return oracle.enumerate_count(complement_in_host(problem))
-    raise CliError(f"unknown method {method!r}")
-
-
 def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
     """Count K_n minus `subtrahend`, a Problem or a node layout (parents,
     mults), with `method`; returns (tau, method_used, fallback_reason).
@@ -175,18 +174,19 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
     count, by `tau_from_determinant`. A Problem goes to an oracle, or under
     auto and tree to `tree_engine.tree_determinant`. Otherwise its node
     layout is built and evaluated by `qt_engine.layout_determinant`, labelled
-    as below; under auto, H not quasi-threshold or disconnected goes to the
-    Kirchhoff oracle with the reason recorded, unless n exceeds that
-    oracle's guard. A layout is labelled `tree` under auto and tree when its
-    graph is a tree: complete split with a one-member root, or one node of
-    at most 2 members. Else it is `csplit` when complete split and the
-    method is not qt, else `qt`. An explicit method never falls back: an
-    unmet precondition is a PreconditionError.
+    as below; under auto, H not quasi-threshold or disconnected goes, with
+    the reason recorded, to the Kirchhoff oracle while n is within its
+    guard, else to cst-matrix unless p exceeds that oracle's guard. A layout
+    is labelled `tree` under auto and tree when its graph is a tree:
+    complete split with a one-member root, or one node of at most 2 members.
+    Else it is `csplit` when complete split and the method is not qt, else
+    `qt`. An explicit method never falls back: an unmet precondition is a
+    PreconditionError.
     """
     auto = method == "auto"
     if isinstance(subtrahend, Problem):
         if method in ORACLE_METHODS:
-            return _run_oracle(method, subtrahend), method, None
+            return _ORACLES[method].tau(subtrahend), method, None
         h = subtrahend.h
         if auto or method == "tree":
             try:
@@ -207,8 +207,9 @@ def _run(method: str, subtrahend, n: int) -> tuple[int, str, str | None]:
                 reason = "subtrahend is not quasi-threshold"
             else:
                 reason = "subtrahend is disconnected"
-            _check_oracle_size("kirchhoff", n, h.vertex_count, reason)
-            return _run_oracle("kirchhoff", subtrahend), "kirchhoff", reason
+            used = "kirchhoff" if n <= oracle.KIRCHHOFF_LIMIT else "cst-matrix"
+            _check_oracle_size(used, n, h.vertex_count, reason)
+            return _ORACLES[used].tau(subtrahend), used, reason
         subtrahend = ct.parents, ct.mults
     parents, mults = subtrahend
     split = qt_engine.is_complete_split(parents, mults)
@@ -250,7 +251,7 @@ def cmd_verify(args) -> int:
     engine_tau, used, _ = _run(args.method, problem, args.n)
     if args.debug_force_wrong:
         engine_tau += 1
-    oracle_tau = _run_oracle(args.against, problem)
+    oracle_tau = _ORACLES[args.against].tau(problem)
     equal = engine_tau == oracle_tau
     print(
         json.dumps(

@@ -20,7 +20,7 @@ import os
 import re
 from bisect import bisect_right
 from collections import defaultdict, deque, namedtuple
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 
 __all__ = [
     "Graph",
@@ -489,20 +489,16 @@ def check_host_size(n: int, p: int) -> None:
 
 
 def complement_in_host(problem: Problem) -> Graph:
-    """Explicit K_n minus h on all n host vertices: the neighbors of host
-    vertex u are 1..n less u and its neighbors in h, taken as runs.
+    """Explicit K_n minus h on all n host vertices: host vertex u gets every
+    other host vertex that is not its neighbor in h.
 
-    Oracle use only: the counting engines never materialize the complement.
+    Oracle use only: the counting engines never materialize the complement,
+    and the command line builds it only within an oracle's guard on n.
     """
     n, h = problem.n, problem.h
+    hosts = range(1, n + 1)
     adj = [[]]
-    for u in range(1, n + 1):
-        cuts = sorted((*h.neighbors(u), u)) if u <= h.vertex_count else (u,)
-        ns = []
-        start = 1
-        for v in cuts:
-            ns += range(start, v)
-            start = v + 1
-        ns += range(start, n + 1)
-        adj.append(ns)
+    for u in hosts:
+        cut = {u, *h.neighbors(u)} if u <= h.vertex_count else {u}
+        adj.append(list(filterfalse(cut.__contains__, hosts)))
     return Graph._from_lists(n, adj)

@@ -9,7 +9,8 @@ pivot means the determinant is 0.
 For tiny graphs an exhaustive subset enumerator provides a third,
 arithmetic-free answer. The command line bounds each oracle's input:
 ENUMERATION_LIMIT and KIRCHHOFF_LIMIT host vertices, CST_MATRIX_LIMIT
-subtrahend vertices.
+subtrahend vertices. An `auto` count that no engine takes falls back to
+Kirchhoff within its limit and to cst-matrix above it.
 """
 
 import random

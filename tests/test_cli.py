@@ -11,9 +11,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import int_digit_limit, lucas, random_permutation, relabel
-from kncomp import cli, oracle, tree_engine
-from kncomp.arith import PrimeField, random_prime
+from conftest import disjoint_edges, int_digit_limit, lucas, random_permutation, relabel
+from kncomp import cli, oracle, qt_engine, tree_engine
+from kncomp.arith import PrimeField, random_prime, tau_from_determinant
 from kncomp.cli import CountResult, bench_once, main
 from kncomp.graph import (
     Graph,
@@ -528,10 +528,6 @@ def test_oracle_guards_exit_1_at_once(tmp_path, capsys, monkeypatch):
     kirchhoff = f"kirchhoff guard: n = 100000 exceeds {oracle.KIRCHHOFF_LIMIT} vertices"
     for argv, message in (
         (["count", "--method", "kirchhoff", "--n", "100000", "--h", edges], kirchhoff),
-        (
-            ["count", "--n", "100000", "--h", edges],
-            kirchhoff + " (auto fell back: subtrahend is disconnected)",
-        ),
         (["verify", "--n", "100000", "--h", path, "--method", "tree", "--against", "kirchhoff"],
          kirchhoff),
         # cst-matrix bounds H's order, read from the loaded file.
@@ -545,6 +541,59 @@ def test_oracle_guards_exit_1_at_once(tmp_path, capsys, monkeypatch):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 1 and out == "" and "Traceback" not in err
         assert message in err, err
+
+
+def test_auto_falls_back_to_cst_matrix_above_the_kirchhoff_guard(tmp_path, capsys):
+    # Above KIRCHHOFF_LIMIT host vertices, auto counts an H no engine takes
+    # on its p x p matrix n*I - L(H). Each tau, of about 500,000 digits, is
+    # checked modulo a seeded 61-bit prime.
+    n = 100_000
+    q = random_prime(61, random.Random(61))
+    # A disjoint union of qt pieces, with p <= 61: its determinant is the
+    # product of the pieces' layout determinants.
+    rng = random.Random(32)
+    edges, p, det = [], 0, 1
+    while True:
+        parents, mults = oracle.random_cent_layout(6, 3, rng)
+        if p + sum(mults) > 61:
+            break
+        piece = oracle.graph_from_cent_layout(parents, mults)
+        edges += [(u + p, v + p) for u, v in piece.edges()]
+        p += piece.vertex_count
+        det *= qt_engine.layout_determinant(parents, mults, n)
+    for h, reason, closed_form in (
+        # Weinberg: two disjoint edges.
+        (disjoint_edges(2), "subtrahend is disconnected", pow(n, n - 4, q) * (n - 2) ** 2),
+        # Gilbert and Myrvold: C_20, with V the Lucas sequence at n - 2.
+        (
+            cycle_graph(20),
+            "subtrahend is not quasi-threshold",
+            pow(n, n - 22, q) * (lucas(20, n - 2)[1] - 2),
+        ),
+        (Graph(p, edges), "subtrahend is disconnected", tau_from_determinant(n, p, det)),
+    ):
+        given = write(tmp_path, "h.el", serialize_edge_list(h))
+        code, out, _ = run(capsys, ["count", "--n", str(n), "--h", given])
+        result = json.loads(out)
+        assert code == 0 and result["method_used"] == "cst-matrix", result["method_used"]
+        assert result["fallback_reason"] == reason
+        assert residue_of_text(result["tau"], q) == closed_form % q, h
+
+    # Past both guards, n > KIRCHHOFF_LIMIT and p > CST_MATRIX_LIMIT, the
+    # count exits 1 at once with the cst-matrix guard and the reason.
+    forest = Graph(100_000, [(v, v + 1) for v in range(1, 100_000) if v != 50_000])
+    for h, n, reason in (
+        (forest, 100_000, "subtrahend is disconnected"),
+        (cycle_graph(300), 300, "subtrahend is not quasi-threshold"),
+    ):
+        given = write(tmp_path, "big.el", serialize_edge_list(h))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["count", "--n", str(n), "--h", given])
+        assert time.perf_counter() - start < 1.0, h
+        assert code == 1 and out == "" and "Traceback" not in err
+        limit = oracle.CST_MATRIX_LIMIT
+        message = f"cst-matrix guard: p = {h.vertex_count} exceeds {limit} vertices"
+        assert f"{message} (auto fell back: {reason})" in err, err
 
 
 def test_host_size_comes_before_the_csplit_graph(capsys, monkeypatch):
