@@ -122,63 +122,62 @@ def recognize_and_build_cent_tree(q: Graph) -> CentTree:
     """Build the decomposition of q, or prove q is not quasi-threshold.
 
     q must be connected; a disconnected subtrahend is counted by a
-    determinant oracle instead. Raises NotQuasiThresholdError with a
-    witness piece when the peeling stalls, and ValueError when q is
-    disconnected. Connectivity is checked only when the whole graph has no
-    universal vertex, which every disconnected graph with p >= 2 lacks.
+    determinant oracle instead. Raises ValueError when q is disconnected,
+    decided before the peel: q has fewer than p - 1 edges, or no universal
+    vertex and a failed search. Raises NotQuasiThresholdError with a witness
+    piece when the peeling stalls.
 
     The peel guarantees the tree's invariants by construction: members of a
     node are universal in their piece, so they share one degree; a piece
     whose rest is connected has no universal vertex, so no internal node has
     a single child; and the pieces partition V(q). Complete split graphs come
     out as the trivial tree that `is_complete_split` tests for.
+
+    The pieces are exact components, so a vertex's only neighbours outside
+    its piece are the members of the piece's ancestor nodes, `above` of
+    them: it is universal in its piece when its degree is above + size - 1.
     """
     p = q.vertex_count
     if p < 1:
         raise ValueError("graph must have at least one vertex")
-
-    # Degree of each vertex inside its current piece. Removing a universal
-    # set C from a piece lowers every survivor's inner degree by |C|.
-    inner_deg = [0] * (p + 1)
-    for v in q.vertices():
-        inner_deg[v] = q.degree(v)
-
+    if q.edge_count < p - 1 or (
+        p - 1 not in map(q.degree, q.vertices()) and not is_connected(q)
+    ):
+        raise ValueError(
+            "graph is disconnected; this decomposition needs a connected input "
+            "(count disconnected subtrahends with a determinant oracle)"
+        )
+    deg = list(map(q.degree, range(p + 1)))
     ct = CentTree([0], [0], [()])
-    queue = deque([(list(q.vertices()), 0)])
+    queue = deque([(list(q.vertices()), 0, 0)])
     while queue:
-        piece, parent = queue.popleft()
-        size = len(piece)
-        cent = tuple(v for v in piece if inner_deg[v] == size - 1)
+        piece, parent, above = queue.popleft()
+        full = above + len(piece) - 1
+        cent = tuple(v for v in piece if deg[v] == full)
         if not cent:
-            if not parent and not is_connected(q):
-                raise ValueError(
-                    "graph is disconnected; this decomposition needs a connected input "
-                    "(count disconnected subtrahends with a determinant oracle)"
-                )
             raise NotQuasiThresholdError(piece)
         ct.parents.append(parent)
         ct.mults.append(len(cent))
         ct.members.append(cent)
-        if len(cent) == size:
-            continue
-        rest = set(piece).difference(cent)
-        for v in rest:
-            inner_deg[v] -= len(cent)
-        queue.extend((part, ct.node_count) for part in _pieces(q, rest, inner_deg))
+        if len(cent) < len(piece):
+            rest = set(piece).difference(cent)
+            above += len(cent)
+            queue.extend((part, ct.node_count, above) for part in _pieces(q, rest, deg))
     return ct
 
 
-def _pieces(q: Graph, rest: set, inner_deg: list) -> list:
+def _pieces(q: Graph, rest: set, deg: list) -> list:
     """Connected components of the subgraph induced by `rest` as sorted
-    lists, ordered by smallest member; inner_deg[v] is v's degree in `rest`.
+    lists, ordered by smallest member; deg[v] is v's degree in q, and all
+    vertices of `rest` have the same number of neighbours outside it.
 
     The largest piece needs no search: in a quasi-threshold graph the vertex
-    w of largest inner degree is universal in it, so it is rest & N[w]. Only
+    w of largest degree is universal in it, so it is rest & N[w]. Only
     the other pieces, each at most half of `rest`, are searched, so each
     adjacency is scanned O(log p) times in all. A search that touches w's
     piece joins it, which keeps the result exact for any graph.
     """
-    w = max(rest, key=inner_deg.__getitem__)
+    w = max(rest, key=deg.__getitem__)
     big = rest.intersection(q.neighbors(w))
     big.add(w)
     pending = rest - big

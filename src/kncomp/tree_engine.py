@@ -37,7 +37,7 @@ linear-work checks use. A zero L(j) is legal as a final value but cannot
 appear in a denominator; that case raises ZeroDivisionError.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import arith
 from .arith import ExactField
@@ -181,13 +181,23 @@ def tree_determinant(t: Graph, x: int) -> int:
     and the last vertex peeled is a center of T. Raises NotATreeError for
     non-tree input.
     """
-    adj, order, parent, _ = _leaf_peel(t)
+    adj, order, parent, rounds = _leaf_peel(t)
     # prod[v] and cross[v] are F(v) and the sum in D(v) over the children
     # folded into v so far; peeling v releases both, so only the live
     # frontier is kept. The root folds into the unused entry 0.
     prod = [1] * len(adj)
     cross = [0] * len(adj)
-    for v in order:
+    # The leaves of round 0 have D = x - 1 and F = 1, and the j under one
+    # parent fold as one class: F = (x - 1)^j and the sum j * (x - 1)^(j - 1).
+    # They open the order. The zero rounds count the unused entry 0 too, and
+    # the root, peeled in round 0 only when k <= 2 and then last, stays out.
+    leaves = rounds.count(0) - 1
+    if leaves == len(order):
+        leaves -= 1
+    for u, j in Counter(map(parent.__getitem__, order[:leaves])).items():
+        low = (x - 1) ** (j - 1) if j > 1 else 1
+        prod[u], cross[u] = low * (x - 1), j * low
+    for v in order[leaves:]:
         f_v, c_v = prod[v], cross[v]
         prod[v] = cross[v] = None
         d_v = (x - len(adj[v])) * f_v - c_v

@@ -596,6 +596,60 @@ def test_auto_falls_back_to_cst_matrix_above_the_kirchhoff_guard(tmp_path, capsy
         assert f"{message} (auto fell back: {reason})" in err, err
 
 
+def test_a_sparse_subtrahend_is_refused_before_any_vertex_list(tmp_path, capsys):
+    # 15 bytes, one edge on 10^7 vertices: with fewer than p - 1 edges H is
+    # disconnected, which the recognizer decides before it builds anything
+    # per vertex, so the Graph's 10^7 neighbour slots are the peak. The
+    # child prints its own peak RSS (kB on Linux) after the count.
+    sparse = write(tmp_path, "sparse.el", "10000000 1\n1 2\n")
+    script = (
+        "import resource, sys; from kncomp.cli import main; "
+        f"code = main(['count', '--n', '10000000', '--h', {sparse!r}]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"
+    )
+    start = time.perf_counter()
+    proc = fresh_interpreter(
+        "-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    out, err = proc.communicate(timeout=60)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 1
+    assert err == (
+        "error: cst-matrix guard: p = 10000000 exceeds 200 vertices "
+        "(auto fell back: subtrahend is disconnected)\n"
+    )
+    assert int(out) / 1024 < 150, f"the refusal peaked at {int(out) / 1024:.1f} MB"
+    assert seconds < 3.0, f"the refusal took {seconds:.2f} s"
+    # An explicit --method qt keeps its precondition error.
+    sparse = write(tmp_path, "sparse6.el", "1000000 1\n1 2\n")
+    code, out, err = run(capsys, ["count", "--n", "1000000", "--h", sparse, "--method", "qt"])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --method qt: graph is disconnected; this decomposition needs a connected "
+        "input (count disconnected subtrahends with a determinant oracle)\n"
+    )
+
+
+def test_a_star_from_a_file_folds_its_leaves_at_once(tmp_path):
+    # tau(K_100002 - K_(1,100000)) = 100001^99999, 499,996 digits, counted
+    # from the star's edge list by the tree engine in a fresh interpreter:
+    # its 100,000 leaves fold into the centre as one class.
+    star = write(tmp_path, "star.el", serialize_edge_list(oracle.star_graph(100_001)))
+    start = time.perf_counter()
+    proc = fresh_interpreter(
+        "-m", "kncomp.cli", "count", "--n", "100002", "--h", star,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0 and err == ""
+    result = json.loads(out)
+    assert result["method_used"] == "tree" and len(result["tau"]) == 499_996
+    q = random_prime(61, random.Random(61))
+    assert residue_of_text(result["tau"], q) == pow(100_001, 99_999, q)
+    assert seconds < 2.0, f"the star count took {seconds:.2f} s"
+
+
 def test_host_size_comes_before_the_csplit_graph(capsys, monkeypatch):
     def no_graph(*_):
         raise AssertionError("the graph was built before the host check")

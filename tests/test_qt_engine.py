@@ -304,6 +304,38 @@ def test_recognition_matches_brute_force_exhaustively():
                 check_node_tree(ct, g)
 
 
+def test_every_small_disconnected_graph_is_refused_as_disconnected():
+    # Connectivity is decided before the peel, so no disconnected graph
+    # reaches it and stalls there as not quasi-threshold.
+    refused = 0
+    for p in range(2, 7):
+        for g in all_graphs(p):
+            if is_connected(g):
+                continue
+            with pytest.raises(ValueError, match="graph is disconnected") as err:
+                recognize_and_build_cent_tree(g)
+            assert not isinstance(err.value, NotQuasiThresholdError), g.edges()
+            refused += 1
+    assert refused == 1 + 4 + 26 + 296 + 6064  # disconnected labeled graphs, 2 <= p <= 6
+
+
+@given(st.integers(1, 12), st.integers(0, 30), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_relabeled_layouts_and_deep_chains_rebuild_their_node_trees(max_nodes, depth, seed):
+    # depth 0 draws a random layout; otherwise a chain of `depth` internal
+    # nodes with random multiplicities, whose vertices sit up to depth + 1
+    # levels below the root.
+    rng = random.Random(seed)
+    if depth:
+        parents, _ = deep_chain_layout(depth)
+        layout = parents, [0] + [rng.randint(1, 3) for _ in parents[1:]]
+    else:
+        layout = random_cent_layout(max_nodes, 3, rng)
+    g = graph_from_cent_layout(*layout)
+    g = relabel(g, random_permutation(g.vertex_count, rng))
+    check_node_tree(recognize_and_build_cent_tree(g), g)
+
+
 def test_recognition_matches_brute_force_sampled_7():
     rng = random.Random(2718)
     done = 0

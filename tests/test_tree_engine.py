@@ -253,6 +253,53 @@ def test_tree_determinant_is_the_shifted_laplacian_determinant():
             assert tree_determinant(t, x) == shifted_laplacian_determinant(t, x), (t.edges(), x)
 
 
+def broom_graph(handle: int, bristles: int) -> Graph:
+    """A path on `handle` vertices with `bristles` leaves on its last one."""
+    k = handle + bristles
+    edges = [(v, v + 1) for v in range(1, handle)]
+    return Graph(k, edges + [(handle, v) for v in range(handle + 1, k + 1)])
+
+
+def child_by_child_fold(t: Graph, x: int) -> int:
+    """det(x*I - L(T)), rooted at vertex 1, with every child folded into its
+    parent on its own: F(v) and the cross sum of D(v) grow one child at a
+    time, leaves included."""
+    parent = {1: 0}
+    order = [1]
+    for v in order:
+        for u in t.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    prod = dict.fromkeys([0, *order], 1)
+    cross = dict.fromkeys([0, *order], 0)
+    for v in reversed(order):
+        d_v = (x - t.degree(v)) * prod[v] - cross[v]
+        u = parent[v]
+        cross[u] = cross[u] * d_v + prod[v] * prod[u]
+        prod[u] *= d_v
+    return d_v
+
+
+@given(st.sampled_from(["random", "star", "broom"]), st.integers(1, 30), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_leaf_classes_fold_like_single_leaves(shape, k, seed):
+    # The leaves of one parent fold as one class; trees with many leaves on
+    # one vertex (stars, brooms) and k <= 2, whose root is itself a leaf,
+    # check that against folding one child at a time.
+    rng = random.Random(seed)
+    if shape == "random":
+        t = random_labeled_tree(k, seed)
+    elif shape == "star":
+        t = star_graph(k)
+    else:
+        handle = rng.randint(1, k)
+        t = broom_graph(handle, k - handle)
+    t = relabel(t, random_permutation(k, rng))
+    for x in range(-3, k + 4):
+        assert tree_determinant(t, x) == child_by_child_fold(t, x), (t.edges(), x)
+
+
 def test_field_operation_count_is_linear():
     for k in (50, 100, 200):
         field = ExactField()
